@@ -3,9 +3,8 @@
 Companion to ``bench_kernels_micro.py`` (which owns the *setup*-phase
 timings): this file measures what every Krylov iteration actually executes
 — the forward/backward triangular sweeps of one preconditioner application
-and the distributed CSR matvec — per kernel tier and per numpy-tier
-backend, plus one whole-solve comparison so the per-sweep speedup is shown
-to survive end-to-end.
+and the distributed CSR matvec — per kernel tier, plus one whole-solve
+comparison so the per-sweep speedup is shown to survive end-to-end.
 
 Both files merge their sections into the schema-versioned
 ``results/BENCH_kernels.json`` (``repro.bench.kernels.v2``): this one owns
@@ -16,9 +15,7 @@ tier.  Tier outputs are asserted bitwise-identical while timing, so the
 speedups cannot come from a semantics change.
 """
 
-import os
 import timeit
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -31,19 +28,6 @@ WHOLE_SOLVE_GATE = {"required_speedup": 1.5}
 
 def _best(fn, repeat=7):
     return min(timeit.repeat(fn, number=1, repeat=repeat)) * 1e3
-
-
-@contextmanager
-def _backend(name):
-    prev = os.environ.get("REPRO_APPLY_BACKEND")
-    os.environ["REPRO_APPLY_BACKEND"] = name
-    try:
-        yield
-    finally:
-        if prev is None:
-            del os.environ["REPRO_APPLY_BACKEND"]
-        else:
-            os.environ["REPRO_APPLY_BACKEND"] = prev
 
 
 def test_apply_sweep_speedup():
@@ -79,9 +63,6 @@ def test_apply_sweep_speedup():
             with kernels.forced_tier("numpy"):
                 timings["numpy"] = _best(lambda: fac.solve(b))
                 results["numpy"] = fac.solve(b)
-                with _backend("levels"):
-                    timings["numpy_levels"] = _best(lambda: fac.solve(b))
-                    results["numpy_levels"] = fac.solve(b)
             if numba_tier.available() and numba_tier.load_apply() is not None:
                 with kernels.forced_tier("numba"):
                     fac.solve(b)  # compile outside the timed region
@@ -124,7 +105,6 @@ def test_apply_sweep_speedup():
         factor_cache.configure(enabled=True)
 
     section = {
-        "backend": apply_kernels.backend(),
         "superlu_available": apply_kernels.superlu_available(),
         "gate": GATE,
         "sweeps": rows,

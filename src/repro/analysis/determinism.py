@@ -14,8 +14,9 @@ contract is at risk and this module checks both, bitwise:
 ``python -m repro check-determinism`` runs each case twice per tier plus a
 serial/parallel setup sweep, compares SHA-256 digests of the solution
 iterate, the residual history, the per-subdomain factors and the apply
-kernels (triangular sweeps + matvec, including both numpy-tier backends of
-:mod:`repro.kernels.apply`), and writes a ``repro.determinism.v1`` report.
+kernels (triangular sweeps + matvec; the numpy tier's SuperLU sweep against
+the reference tier's scalar spec), and writes a ``repro.determinism.v1``
+report.
 The factor cache is disabled for the duration — a cache hit returns the
 same object and would vacuously pass.
 """
@@ -46,7 +47,6 @@ DETERMINISM_SCHEMA = "repro.determinism.v1"
 CHECK_KINDS = ("repeat", "cross-tier", "workers", "factors", "apply", "backend")
 
 _WORKERS_ENV = "REPRO_SETUP_WORKERS"
-_BACKEND_ENV = "REPRO_APPLY_BACKEND"
 
 
 def _digest(*arrays: np.ndarray) -> str:
@@ -184,32 +184,13 @@ def _subdomain_blocks(case: TestCase, nparts: int, seed: int) -> list[sp.csr_mat
     ]
 
 
-@contextmanager
-def _apply_backend(name: str | None) -> Iterator[None]:
-    prev = os.environ.get(_BACKEND_ENV)
-    try:
-        if name is None:
-            os.environ.pop(_BACKEND_ENV, None)
-        else:
-            os.environ[_BACKEND_ENV] = name
-        yield
-    finally:
-        if prev is None:
-            os.environ.pop(_BACKEND_ENV, None)
-        else:
-            os.environ[_BACKEND_ENV] = prev
-
-
-def _apply_digest(
-    blocks: Sequence[sp.csr_matrix], tier: str, backend: str | None = None
-) -> str:
+def _apply_digest(blocks: Sequence[sp.csr_matrix], tier: str) -> str:
     """One digest over the apply kernels: both sweeps, the fused ILU solve
-    and the CSR matvec of every subdomain block, under one tier (and, on
-    the numpy tier, one :mod:`repro.kernels.apply` backend)."""
+    and the CSR matvec of every subdomain block, under one tier."""
     from repro.kernels import apply as apply_kernels
 
     h = hashlib.sha256()
-    with kernels.forced_tier(tier), _apply_backend(backend):
+    with kernels.forced_tier(tier):
         for a in blocks:
             n = a.shape[0]
             rhs = np.cos(np.arange(n, dtype=np.float64))
@@ -371,21 +352,15 @@ def check_determinism(
                     tier: [_apply_digest(blocks, tier) for _ in range(2)]
                     for tier in tiers
                 }
-                backends = ["levels"] + (
-                    ["superlu"] if apply_kernels.superlu_available() else []
-                )
-                bdig = {bk: _apply_digest(blocks, "numpy", backend=bk)
-                        for bk in backends}
                 a_repeat_ok = all(d[0] == d[1] for d in adig.values())
-                a_cross_ok = len(
-                    {d[0] for d in adig.values()} | set(bdig.values())
-                ) == 1
+                a_cross_ok = len({d[0] for d in adig.values()}) == 1
                 report.checks.append(Check(
                     kind="apply", case=case.key,
                     identical=a_repeat_ok and a_cross_ok,
-                    detail={"tiers": list(tiers), "backends": backends,
+                    detail={"tiers": list(tiers),
+                            "numpy_sweep": "superlu"
+                            if apply_kernels.superlu_available() else "spec",
                             "digests": {t: d[0] for t, d in adig.items()},
-                            "backend_digests": bdig,
                             "repeat_identical": a_repeat_ok,
                             "cross_tier_identical": a_cross_ok},
                 ))

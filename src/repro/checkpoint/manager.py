@@ -19,6 +19,10 @@ from repro import obs
 from repro.checkpoint.errors import CheckpointCorruption, CheckpointNotFound
 from repro.checkpoint.format import Checkpoint, read_checkpoint, write_checkpoint
 
+#: directory listings :meth:`CheckpointManager.load_latest` walks before it
+#: gives up on a concurrent writer that keeps pruning what it just listed
+RELIST_LIMIT = 8
+
 
 class CheckpointManager:
     """Numbered checkpoints in one directory, newest-first recovery.
@@ -92,21 +96,33 @@ class CheckpointManager:
         ``resilience.ckpt.corrupt`` trace event, so recovery falls back to
         the most recent *intact* restore point.  A snapshot that vanishes
         between the directory listing and the read (a concurrent writer's
-        retention pruning) is skipped silently — saves are atomic
-        write-then-rename, so whatever file the reader does open is either
-        a complete CRC-valid snapshot or detectably corrupt, never torn.
+        retention pruning) is skipped; when vanished files use up a whole
+        listing, the directory is listed again, up to
+        :data:`RELIST_LIMIT` times, because the writer's newer snapshots
+        exist by then.  Saves are atomic write-then-rename, so whatever
+        file the reader does open is either a complete CRC-valid snapshot
+        or detectably corrupt, never torn.
         """
-        for step in reversed(self.steps()):
-            try:
-                ckpt = read_checkpoint(self.path_for(step))
-            except FileNotFoundError:
-                continue  # pruned while we were walking; older ones remain
-            except CheckpointCorruption as exc:
-                obs.event(
-                    "resilience.ckpt.corrupt", step=step,
-                    path=str(self.path_for(step)), error=str(exc),
-                )
-                continue
-            obs.event("resilience.ckpt.restore", step=step, path=str(ckpt.path))
-            return ckpt
+        corrupt: set[int] = set()
+        for _ in range(RELIST_LIMIT):
+            vanished = False
+            for step in reversed(self.steps()):
+                if step in corrupt:
+                    continue
+                try:
+                    ckpt = read_checkpoint(self.path_for(step))
+                except FileNotFoundError:
+                    vanished = True  # pruned while we were walking
+                    continue
+                except CheckpointCorruption as exc:
+                    corrupt.add(step)
+                    obs.event(
+                        "resilience.ckpt.corrupt", step=step,
+                        path=str(self.path_for(step)), error=str(exc),
+                    )
+                    continue
+                obs.event("resilience.ckpt.restore", step=step, path=str(ckpt.path))
+                return ckpt
+            if not vanished:
+                return None
         return None

@@ -13,18 +13,21 @@ execute and how bytes move between them* to an :class:`ExecutionBackend`:
   lifecycle (heartbeats, real death, hangs, fencing).
 
 The transport speaks two *internal* exceptions — :class:`TransportTimeout`
-and :class:`TransportBroken` — that never escape the ghost exchange: the
-envelope retry loop converts them into retries, ledger charges, and finally
-the typed :class:`~repro.resilience.errors.CommFault` taxonomy via
+and :class:`TransportBroken` — that never escape a delivery round: the one
+retry loop, :func:`repro.comm.delivery.deliver`, sends every ghost exchange
+and every worker command round through :meth:`ExecutionBackend.request_many`
+and converts those exceptions into retries, ledger charges, and finally the
+typed :class:`~repro.resilience.errors.CommFault` taxonomy via
 :meth:`ExecutionBackend.classify`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Sequence
 
 from repro.comm.communicator import RetryPolicy
-from repro.resilience.errors import CommFault
+from repro.resilience.errors import CommFault, MessageCorruption
 
 #: selectable backend names, in documentation order
 BACKEND_NAMES = ("inprocess", "multiprocess")
@@ -65,14 +68,18 @@ class ExecutionBackend(ABC):
     Lifecycle: backends start lazily (:meth:`ensure_started`) on first
     transfer and are shut down by the owning communicator's ``close()``.
     ``is_real`` distinguishes backends whose ranks can *actually* die from
-    the simulated default — the ghost exchange routes every transfer
-    through :meth:`request` when it is True.
+    the simulated default — the ghost exchange sends every transfer over
+    the transport when it is True, and the in-process backend's loopback
+    only under an active fault plan.
     """
 
     #: short selectable name (one of :data:`BACKEND_NAMES`)
     name: str = "abstract"
     #: True when ranks are real OS processes (transfers must use the wire)
     is_real: bool = False
+    #: shortest response window a delivery round gives this transport,
+    #: whatever the retry policy says (a loopback answers at once)
+    min_wait: float = 0.0
 
     def __init__(self, size: int) -> None:
         if size < 1:
@@ -99,20 +106,28 @@ class ExecutionBackend(ABC):
         rank's process is confirmed gone.
         """
 
-    def request_many(self, messages, timeout: float):
-        """Round-trip a batch ``{rank: raw}``; per-rank results or errors.
+    def request_many(
+        self, messages: Sequence[tuple[int, bytes]], timeout: float
+    ) -> list[bytes | Exception]:
+        """Round-trip a batch of ``(rank, raw)`` frames; results in order.
 
-        Returns ``{rank: bytes | Exception}`` — transport failures are
-        *values*, not raises, so one broken rank cannot mask the others.
-        The default is a sequential loop; real transports override this
-        with send-all-then-collect so rank processes overlap their work.
+        A rank may appear several times (one rank receives several
+        transfers of one exchange).  Returns one entry per message — the
+        response frame's raw bytes, or the :class:`TransportTimeout`,
+        :class:`TransportBroken` or
+        :class:`~repro.resilience.errors.MessageCorruption` that stopped
+        it: transport failures are *values*, not raises, so one broken
+        rank cannot mask the others.  The default is a sequential loop, fit
+        for loopback transports; real transports override this to write
+        every frame before reading any response, so rank processes overlap
+        their work.
         """
-        results: dict[int, bytes | Exception] = {}
-        for rank in sorted(messages):
+        results: list[bytes | Exception] = []
+        for rank, raw in messages:
             try:
-                results[rank] = self.request(rank, messages[rank], timeout)
-            except (TransportTimeout, TransportBroken) as exc:
-                results[rank] = exc
+                results.append(self.request(rank, raw, timeout))
+            except (TransportTimeout, TransportBroken, MessageCorruption) as exc:
+                results.append(exc)
         return results
 
     # -- liveness / supervision -------------------------------------------

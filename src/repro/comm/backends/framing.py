@@ -162,6 +162,22 @@ def decode_frame(raw: bytes) -> Frame:
     return Frame(kind=kind, src=src, dst=dst, seq=seq, payload=payload)
 
 
+def nak_for(raw: bytes, exc: MessageCorruption, rank: int) -> bytes:
+    """The NAK a receiver answers a frame that failed validation with.
+
+    It is addressed from the frame's unvalidated header, so the sender's
+    response matcher pairs it with the retransmit loop instead of
+    draining it as a stale reply; when even the header is unreadable it
+    goes to ``rank``'s self-edge.  The payload names what failed.
+    """
+    try:
+        _, src, dst, seq = peek_header(raw)
+    except MessageCorruption:
+        src, dst, seq = rank, rank, 0
+    reason = str(exc.context.get("reason", "corrupt"))
+    return encode_frame(NAK, src, dst, seq, reason.encode())
+
+
 # -- array payloads ----------------------------------------------------------
 #
 # Worker-compute commands ship numerical arrays.  Pickling them would copy

@@ -3,15 +3,19 @@
 Ranks are slices of the driver process, a transfer is an array copy, and the
 clean path never touches the wire — the ghost exchange keeps its direct-copy
 fast path, so this backend is bit-identical *and* cost-identical to the
-pre-backend behavior.  :meth:`InProcessBackend.request` still implements the
-frame protocol as a local loopback (validate, echo) so transport-level tests
-and tooling can exercise framing without spawning processes.
+pre-backend behavior.  :meth:`InProcessBackend.request` implements the frame
+protocol as a local loopback (validate, echo; NAK a frame that fails
+validation, as a rank process would).  Under an active fault plan the ghost
+exchange runs through :func:`repro.comm.delivery.deliver` and this loopback
+*is* the simulated delivery: injected corruption garbles the real frame and
+the loopback's CRC check catches it.
 """
 
 from __future__ import annotations
 
 from repro.comm.backends import framing
 from repro.comm.backends.base import ExecutionBackend
+from repro.resilience.errors import MessageCorruption
 
 
 class InProcessBackend(ExecutionBackend):
@@ -23,7 +27,10 @@ class InProcessBackend(ExecutionBackend):
     def request(self, rank: int, raw: bytes, timeout: float) -> bytes:
         """Local loopback: validate the frame and echo like a rank would."""
         self._check_rank(rank)
-        frame = framing.decode_frame(raw)
+        try:
+            frame = framing.decode_frame(raw)
+        except MessageCorruption as exc:
+            return framing.nak_for(raw, exc, rank)
         if frame.kind == framing.PING:
             return framing.encode_frame(
                 framing.PONG, frame.src, frame.dst, frame.seq

@@ -35,6 +35,7 @@ import os
 import signal
 from multiprocessing.connection import Connection
 from time import monotonic
+from typing import Sequence
 
 from repro import obs
 from repro.comm.backends import framing, worker
@@ -72,17 +73,7 @@ def _worker_main(rank: int, size: int, conn: Connection,
             try:
                 frame = framing.decode_frame(raw)
             except MessageCorruption as exc:
-                reason = str(exc.context.get("reason", "corrupt"))
-                # address the NAK from the (unvalidated) header so the
-                # sender's response matcher pairs it with the retransmit
-                # loop instead of draining it as a stale reply
-                try:
-                    _, src, dst, seq = framing.peek_header(raw)
-                except MessageCorruption:
-                    src, dst, seq = rank, rank, 0
-                conn.send_bytes(framing.encode_frame(
-                    framing.NAK, src, dst, seq, reason.encode()
-                ))
+                conn.send_bytes(framing.nak_for(raw, exc, rank))
                 continue
             if frame.kind == framing.SHUTDOWN:
                 return
@@ -130,6 +121,10 @@ class MultiprocessBackend(ExecutionBackend):
 
     name = "multiprocess"
     is_real = True
+    #: a loaded host delays a pipe round trip by tens of milliseconds, and
+    #: every missed window counts against the rank's heartbeat budget: a
+    #: tighter window than this would fence healthy ranks
+    min_wait = 0.05
 
     def __init__(
         self,
@@ -236,34 +231,36 @@ class MultiprocessBackend(ExecutionBackend):
         want = self._send(rank, raw)
         return self._collect(rank, want, monotonic() + timeout, timeout)
 
-    def request_many(self, messages, timeout: float):
-        """Send to every addressed rank, *then* collect the responses.
+    def request_many(
+        self, messages: Sequence[tuple[int, bytes]], timeout: float
+    ) -> list[bytes | Exception]:
+        """Write every frame, *then* collect the responses, in order.
 
-        This is the overlap primitive worker-resident compute depends on:
-        all CMD frames hit the pipes before the driver blocks on the first
-        response, so the rank processes execute their subdomain work
-        concurrently while the driver waits.  Per-rank failures come back
-        as exception values, never raised — one dead rank must not hide
-        the other ranks' finished results from the caller's retry loop.
+        This is the overlap primitive the delivery round depends on: all
+        frames hit the pipes before the driver blocks on the first
+        response, so the rank processes execute their work concurrently
+        while the driver waits.  A rank answers its frames in arrival
+        order, and :meth:`_collect` matches each response by
+        ``(src, dst, seq)``.  Per-frame failures come back as exception
+        values, never raised — one dead rank must not hide the other
+        ranks' finished results from the caller's retry loop.
         """
         self.ensure_started()
-        results: dict[int, bytes | Exception] = {}
-        sent: dict[int, tuple[int, int, int, int]] = {}
-        for rank in sorted(messages):
+        results: list[bytes | Exception | None] = [None] * len(messages)
+        sent: list[tuple[int, int, tuple[int, int, int, int]]] = []
+        for i, (rank, raw) in enumerate(messages):
             self._check_rank(rank)
             try:
-                sent[rank] = self._send(rank, messages[rank])
-            except (TransportTimeout, TransportBroken) as exc:
-                results[rank] = exc
+                sent.append((i, rank, self._send(rank, raw)))
+            except TransportBroken as exc:
+                results[i] = exc
         deadline = monotonic() + timeout
-        for rank in sorted(sent):
+        for i, rank, want in sent:
             try:
-                results[rank] = self._collect(
-                    rank, sent[rank], deadline, timeout
-                )
-            except (TransportTimeout, TransportBroken) as exc:
-                results[rank] = exc
-        return results
+                results[i] = self._collect(rank, want, deadline, timeout)
+            except (TransportTimeout, TransportBroken, MessageCorruption) as exc:
+                results[i] = exc
+        return results  # type: ignore[return-value]
 
     def _send(self, rank: int, raw: bytes) -> tuple[int, int, int, int]:
         """Push one frame down ``rank``'s pipe; returns its matching keys."""
@@ -295,8 +292,9 @@ class MultiprocessBackend(ExecutionBackend):
         if conn is None:
             raise TransportBroken(rank, "transport closed")
         while True:
-            remaining = deadline - monotonic()
-            if remaining <= 0 or not conn.poll(remaining):
+            # past the deadline, still take a response already in the pipe
+            # (several frames to one rank share the deadline)
+            if not conn.poll(max(deadline - monotonic(), 0.0)):
                 if self._record_exit_if_dead(rank):
                     raise TransportBroken(rank, "process exited mid-request")
                 raise TransportTimeout(rank, timeout)
@@ -305,8 +303,8 @@ class MultiprocessBackend(ExecutionBackend):
             except (EOFError, OSError) as exc:
                 self._record_exit_if_dead(rank, force=True)
                 raise TransportBroken(rank, str(exc)) from exc
-            # corrupt response frames propagate MessageCorruption to the
-            # retry loop, which counts a checksum failure and retransmits
+            # a corrupt response frame raises MessageCorruption: the retry
+            # loop counts a checksum failure and retransmits
             if (resp.src, resp.dst, resp.seq) != (want_src, want_dst, want_seq):
                 continue  # stale reply from an earlier timed-out attempt
             if want_kind == framing.PING and resp.kind != framing.PONG:

@@ -40,6 +40,7 @@ from time import perf_counter, process_time
 import numpy as np
 
 from repro.comm.backends import framing
+from repro.resilience.errors import MessageCorruption
 
 #: command opcodes (first payload byte)
 OP_LOAD_MATRIX = 1    #: store a CSR matrix under a content key
@@ -48,7 +49,10 @@ OP_FACTOR = 3         #: factor a loaded matrix worker-side; returns L/U
 OP_MATVEC = 4         #: y = A_r @ x_sub (full compacted input vector shipped)
 OP_MATVEC_GHOSTS = 5  #: y = A_r @ [z-register; ghosts] (only ghosts shipped)
 OP_APPLY = 6          #: z = (LU)^{-1} r; z kept in the worker's z-register
-OP_DOT_PARTIAL = 7    #: scalar partial <x_r, y_r> for the tree reduction
+
+#: opcode byte of the error result answering a payload that does not decode
+#: (empty, truncated, unknown opcode): there is no command to attribute it to
+UNDECODABLE = 0
 
 OP_NAMES = {
     OP_LOAD_MATRIX: "load-matrix",
@@ -57,7 +61,6 @@ OP_NAMES = {
     OP_MATVEC: "matvec",
     OP_MATVEC_GHOSTS: "matvec-ghosts",
     OP_APPLY: "apply",
-    OP_DOT_PARTIAL: "dot-partial",
 }
 
 
@@ -67,7 +70,7 @@ def pack_command(op: int, meta: dict, arrays=()) -> bytes:
     ``meta`` must be JSON-serializable scalars/strings — numerical data
     travels in ``arrays`` as raw buffers, never through JSON or pickle.
     """
-    if op not in OP_NAMES:
+    if op not in OP_NAMES and op != UNDECODABLE:
         raise ValueError(f"unknown worker opcode {op!r}")
     blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
     head = bytes([op]) + len(blob).to_bytes(4, "little") + blob
@@ -84,7 +87,7 @@ def unpack_command(payload: bytes) -> tuple[int, dict, list]:
     if len(payload) < 5:
         raise ValueError(f"command payload truncated: {len(payload)} bytes")
     op = payload[0]
-    if op not in OP_NAMES:
+    if op not in OP_NAMES and op != UNDECODABLE:
         raise ValueError(f"unknown worker opcode {op}")
     mlen = int.from_bytes(payload[1:5], "little")
     if len(payload) < 5 + mlen:
@@ -264,11 +267,6 @@ def _handle_apply(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict
     return {}, [z]
 
 
-def _handle_dot_partial(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict, list]:
-    partial = float(np.dot(np.asarray(arrays[0]), np.asarray(arrays[1])))
-    return {}, [np.asarray([partial], dtype=np.float64)]
-
-
 _HANDLERS = {
     OP_LOAD_MATRIX: _handle_load_matrix,
     OP_LOAD_FACTOR: _handle_load_factor,
@@ -276,7 +274,6 @@ _HANDLERS = {
     OP_MATVEC: _handle_matvec,
     OP_MATVEC_GHOSTS: _handle_matvec_ghosts,
     OP_APPLY: _handle_apply,
-    OP_DOT_PARTIAL: _handle_dot_partial,
 }
 
 
@@ -285,16 +282,22 @@ def execute(store: SubdomainStore, payload: bytes) -> bytes:
 
     Failures never kill the worker loop: any exception is serialized as
     ``{"error", "etype"}`` meta and re-raised as its typed counterpart on
-    the driver side (:mod:`repro.comm.compute`).  ``seconds`` is the
-    worker-measured wall time of the command — decode, compute, and result
-    packing of the *handler*, not pipe time — which the driver's
-    ``comm.worker.round`` events and the scaling bench aggregate per rank.
+    the driver side (:mod:`repro.comm.compute`).  A payload that does not
+    decode gets an ``undecodable command`` error under the
+    :data:`UNDECODABLE` opcode byte.  ``seconds`` is the worker-measured
+    wall time of the command — decode, compute, and result packing of the
+    *handler*, not pipe time — which the driver's ``comm.worker.round``
+    events and the scaling bench aggregate per rank.
     """
     t0 = perf_counter()
     c0 = process_time()
-    op = payload[0] if payload and payload[0] in OP_NAMES else OP_DOT_PARTIAL
     try:
         op, meta, arrays = unpack_command(payload)
+    except (ValueError, MessageCorruption) as exc:
+        return _error_result(
+            UNDECODABLE, ValueError(f"undecodable command: {exc}"), t0, c0
+        )
+    try:
         out_meta, out_arrays = _HANDLERS[op](store, meta, arrays)
         out_meta = dict(out_meta)
         out_meta["op"] = OP_NAMES[op]
@@ -302,9 +305,13 @@ def execute(store: SubdomainStore, payload: bytes) -> bytes:
         out_meta["cpu_seconds"] = process_time() - c0
         return pack_command(op, out_meta, out_arrays)
     except Exception as exc:  # noqa: BLE001 - the wire is the error boundary
-        return pack_command(op, {
-            "error": str(exc),
-            "etype": type(exc).__name__,
-            "seconds": perf_counter() - t0,
-            "cpu_seconds": process_time() - c0,
-        })
+        return _error_result(op, exc, t0, c0)
+
+
+def _error_result(op: int, exc: Exception, t0: float, c0: float) -> bytes:
+    return pack_command(op, {
+        "error": str(exc),
+        "etype": type(exc).__name__,
+        "seconds": perf_counter() - t0,
+        "cpu_seconds": process_time() - c0,
+    })

@@ -80,7 +80,8 @@ class Communicator:
 
     The communicator also owns the integrity-envelope state: a per-directed-
     pair sequence counter (:meth:`next_seq`), the :class:`RetryPolicy` the
-    ghost exchange enforces, and :class:`CommStats` message counters.
+    reliable round (:func:`repro.comm.delivery.deliver`) enforces, and
+    :class:`CommStats` message counters.
 
     *How* the ranks execute is delegated to an
     :class:`~repro.comm.backends.ExecutionBackend` — ``inprocess`` (the

@@ -4,21 +4,21 @@
 this module is the driver's half: a :class:`WorkerCompute` session bound to
 one communicator + real backend that ships each rank its subdomain state
 **once** (content-hash keyed, the PR 4 factor-cache identity) and then
-drives the per-iteration hot path — triangular-sweep APPLY, ghost-only
-MATVEC, dot partials — through batched ``CMD`` rounds.
+drives the per-iteration hot path — triangular-sweep APPLY and ghost-only
+MATVEC — through batched ``CMD`` rounds.
 
-A **round** sends one command frame to every participating rank through
-:meth:`ExecutionBackend.request_many` (all frames hit the pipes before the
-driver blocks on the first response, so rank processes overlap their
-compute), then retries per-rank failures under the communicator's
-:class:`~repro.comm.communicator.RetryPolicy` exactly like the ghost
-exchange: timeouts feed the supervisor's miss accounting (fencing), NAKs
-and garbled frames count checksum failures and retransmit (every worker op
-is idempotent, so a duplicate command re-executes bitwise identically),
-and exhausted budgets classify through the supervisor into the typed
-:class:`~repro.resilience.errors.CommFault` taxonomy — which is what lets
-``absorb_rank`` + :class:`ResilientSolver` recover from a rank killed
-mid-MATVEC.  After recovery the fresh communicator gets a fresh session
+A **round** packs one command payload per participating rank and hands
+them to :func:`repro.comm.delivery.deliver`, the same reliable round every
+ghost exchange uses: all frames hit the pipes before the driver blocks on
+the first response (so rank processes overlap their compute), and
+timeouts, NAKs, garbled frames, supervisor fencing and the typed
+:class:`~repro.resilience.errors.CommFault` give-up behave exactly as they
+do for a ghost exchange — which is what lets ``absorb_rank`` +
+:class:`ResilientSolver` recover from a rank killed mid-MATVEC.  Every
+worker op is idempotent, so a retransmitted command re-executes bitwise
+identically.  What stays here is the command layer: decoding results with
+``unpack_command`` and re-raising worker-reported failures as their typed
+counterparts.  After recovery the fresh communicator gets a fresh session
 whose shipped-key set is empty, so surviving ranks are transparently
 re-shipped their (re-partitioned) subdomains.
 
@@ -28,11 +28,8 @@ rounds are delivery opportunities like ghost exchanges) and emits one
 CPU seconds — the raw material for ``repro trace``'s per-rank attribution
 and the scaling bench's critical-path model (``docs/performance.md``).
 
-Env gates: ``REPRO_WORKER_COMPUTE=0`` disables the session entirely
-(multiprocess ranks fall back to validate-and-echo, the PR 7 behavior);
-``REPRO_WORKER_DOT=1`` additionally routes dot partials through the
-workers (off by default — partials are driver-local memory reads, and the
-fixed-order tree contract makes both transports bitwise equal anyway).
+Env gate: ``REPRO_WORKER_COMPUTE=0`` disables the session entirely
+(multiprocess ranks fall back to validate-and-echo, the PR 7 behavior).
 """
 
 from __future__ import annotations
@@ -42,12 +39,10 @@ from time import perf_counter
 
 import numpy as np
 
-from repro import faults, obs
+from repro import obs
 from repro.comm.backends import framing
-from repro.comm.backends.base import TransportBroken, TransportTimeout
 from repro.comm.backends.worker import (
     OP_APPLY,
-    OP_DOT_PARTIAL,
     OP_FACTOR,
     OP_LOAD_FACTOR,
     OP_LOAD_MATRIX,
@@ -58,19 +53,17 @@ from repro.comm.backends.worker import (
     unpack_command,
 )
 from repro.comm.communicator import Communicator
+from repro.comm.delivery import Envelope, deliver
 from repro.resilience import errors as _errors
-from repro.resilience.errors import MessageCorruption, RankDeadError
 
 #: disable worker-resident compute (fall back to driver compute)
 COMPUTE_ENV = "REPRO_WORKER_COMPUTE"
-#: opt dot partials into worker-side evaluation
-DOT_ENV = "REPRO_WORKER_DOT"
 
 #: per-attempt timeout floors (seconds): retry policies are tuned for
 #: microsecond echo traffic; a command that *computes* needs a window
 #: matched to the work, or slow-but-healthy ranks would be fenced
 HEAVY_FLOOR = 120.0   #: LOAD / FACTOR — ships state or factors a subdomain
-LIGHT_FLOOR = 2.0     #: MATVEC / APPLY / DOT — per-iteration ops
+LIGHT_FLOOR = 2.0     #: MATVEC / APPLY — per-iteration ops
 
 
 class WorkerComputeError(RuntimeError):
@@ -82,10 +75,6 @@ def compute_enabled() -> bool:
     return os.environ.get(COMPUTE_ENV, "1").strip().lower() not in (
         "0", "off", "false", "no",
     )
-
-
-def dot_enabled() -> bool:
-    return os.environ.get(DOT_ENV, "").strip().lower() in ("1", "on", "true", "yes")
 
 
 def session(comm: Communicator) -> "WorkerCompute | None":
@@ -115,7 +104,7 @@ def _raise_worker_error(rank: int, op: int, meta: dict):
     where the computation ran.
     """
     msg = (
-        f"worker rank {rank} failed {OP_NAMES.get(op, op)}: "
+        f"worker rank {rank} failed {OP_NAMES.get(op, 'a command')}: "
         f"{meta.get('error', 'unknown error')}"
     )
     cls = getattr(_errors, str(meta.get("etype", "")), None)
@@ -148,147 +137,33 @@ class WorkerCompute:
     def _round(
         self, op: int, payloads: dict[int, bytes], floor: float
     ) -> dict[int, tuple[dict, list]]:
-        """One batched command round with envelope-grade retry semantics."""
-        comm = self.comm
-        backend = self.backend
-        policy = comm.retry_policy
-        stats = comm.comm_stats
-        op_name = OP_NAMES[op]
-        plan = faults.active()
-        if plan is not None:
-            # a worker round is a delivery opportunity: proc-kill /
-            # proc-hang / rank-dead specs fire here exactly as they do at
-            # a ghost exchange
-            plan.exchange_begin(backend=backend)
+        """One batched command round through the reliable round primitive."""
         t0 = perf_counter()
-        frames: dict[int, bytes] = {}
-        seqs: dict[int, int] = {}
-        for rank in sorted(payloads):
-            # commands ride the (rank, rank) self-edge of the envelope seq
-            # space — ghost-exchange edges keep their own counters
-            seq = comm.next_seq(rank, rank)
-            frames[rank] = framing.encode_frame(
-                framing.CMD, rank, rank, seq, payloads[rank]
-            )
-            seqs[rank] = seq
-        stats.messages += len(frames)
-        pending = dict(frames)
-        broken: set[int] = set()
+        ranks = sorted(payloads)
+        # commands ride the (rank, rank) self-edge of the envelope seq
+        # space — ghost-exchange edges keep their own counters
+        responses = deliver(
+            self.comm, framing.CMD,
+            [Envelope(rank, rank, rank, payloads[rank]) for rank in ranks],
+            floor=floor, op=OP_NAMES[op],
+        )
         out: dict[int, tuple[dict, list]] = {}
-        for attempt in range(policy.max_retries + 1):
-            if not pending:
-                break
-            if attempt:
-                stats.retries += len(pending)
-            timeout = max(policy.wait(attempt), floor)
-            dead_sim = (
-                sorted(set(pending) & plan.dead_ranks)
-                if plan is not None else []
-            )
-            for rank in dead_sim:
-                # simulated death: the process is healthy but plays dead,
-                # so the attempt burns its full window unanswered
-                stats.timeouts += 1
-                obs.event(
-                    "resilience.comm.retry", src=rank, dst=rank,
-                    seq=seqs[rank], attempt=attempt, reason="timeout",
-                    backend=backend.name, op=op_name,
-                )
-            live = {
-                r: pending[r] for r in sorted(pending) if r not in dead_sim
-            }
-            results = backend.request_many(live, timeout) if live else {}
-            for rank in sorted(results):
-                res = results[rank]
-                if isinstance(res, TransportTimeout):
-                    stats.timeouts += 1
-                    state = backend.handle_timeout(rank)
-                    obs.event(
-                        "resilience.comm.retry", src=rank, dst=rank,
-                        seq=seqs[rank], attempt=attempt, reason="timeout",
-                        backend=backend.name, peer_state=state, op=op_name,
-                    )
-                    continue
-                if isinstance(res, TransportBroken):
-                    # confirmed gone — stop burning retry windows on it,
-                    # but keep collecting the other ranks' results
-                    pending.pop(rank)
-                    broken.add(rank)
-                    continue
-                if isinstance(res, Exception):  # pragma: no cover - safety
-                    pending.pop(rank)
-                    broken.add(rank)
-                    continue
-                try:
-                    resp = framing.decode_frame(res)
-                except MessageCorruption:
-                    stats.checksum_failures += 1
-                    obs.event(
-                        "resilience.comm.retry", src=rank, dst=rank,
-                        seq=seqs[rank], attempt=attempt, reason="checksum",
-                        backend=backend.name, op=op_name,
-                    )
-                    continue
-                if resp.kind == framing.NAK:
-                    stats.checksum_failures += 1
-                    obs.event(
-                        "resilience.comm.retry", src=rank, dst=rank,
-                        seq=seqs[rank], attempt=attempt, reason="checksum",
-                        backend=backend.name, op=op_name,
-                        nak=resp.payload.decode(errors="replace"),
-                    )
-                    continue
-                r_op, meta, arrays = unpack_command(resp.payload)
-                if "error" in meta:
-                    _raise_worker_error(rank, r_op, meta)
-                out[rank] = (meta, arrays)
-                pending.pop(rank)
-                supervisor = getattr(backend, "supervisor", None)
-                if supervisor is not None:
-                    supervisor.record_ready(rank)
-        failed = sorted(set(pending) | broken)
-        if failed:
-            rank = failed[0]
-            if plan is not None and rank in plan.dead_ranks:
-                stats.rank_dead += 1
-                obs.event(
-                    "resilience.comm.rank_dead", rank=rank, src=rank,
-                    dst=rank, seq=seqs[rank], backend=backend.name,
-                    op=op_name,
-                )
-                raise RankDeadError(
-                    f"rank {rank} stopped responding: worker {op_name} "
-                    f"round timed out {policy.max_retries + 1} times",
-                    rank=rank, src=rank, dst=rank, seq=seqs[rank],
-                    attempts=policy.max_retries + 1,
-                )
-            fault = backend.classify(rank, src=rank, dst=rank, op=op_name)
-            if isinstance(fault, RankDeadError):
-                stats.rank_dead += 1
-                obs.event(
-                    "resilience.comm.rank_dead", rank=fault.rank, src=rank,
-                    dst=rank, seq=seqs[rank], backend=backend.name,
-                    op=op_name,
-                )
-            else:
-                obs.event(
-                    "resilience.comm.give_up", src=rank, dst=rank,
-                    seq=seqs[rank], reason="timeout", backend=backend.name,
-                    op=op_name,
-                )
-            raise fault
+        for rank, payload in zip(ranks, responses):
+            r_op, meta, arrays = unpack_command(payload)
+            if "error" in meta:
+                _raise_worker_error(rank, r_op, meta)
+            out[rank] = (meta, arrays)
         self.rounds += 1
         if obs.enabled():
-            ranks = sorted(out)
             obs.event(
-                "comm.worker.round", op=op_name, backend=backend.name,
+                "comm.worker.round", op=OP_NAMES[op], backend=self.backend.name,
                 ranks=ranks,
                 seconds=[float(out[r][0].get("seconds", 0.0)) for r in ranks],
                 cpu_seconds=[
                     float(out[r][0].get("cpu_seconds", 0.0)) for r in ranks
                 ],
                 driver_seconds=perf_counter() - t0,
-                bytes=sum(len(frames[r]) for r in sorted(frames)),
+                bytes=sum(framing.HEADER_SIZE + len(payloads[r]) for r in ranks),
             )
         return out
 
@@ -427,15 +302,3 @@ class WorkerCompute:
             z[layout.local_slice(rank)] = out[rank][1][0]
         self._z_last = z
         return z
-
-    def dot_partials(self, layout, x: np.ndarray, y: np.ndarray) -> list[float]:
-        """Per-rank partial inner products, worker-evaluated (opt-in)."""
-        payloads = {
-            rank: pack_command(
-                OP_DOT_PARTIAL, {},
-                [x[layout.local_slice(rank)], y[layout.local_slice(rank)]],
-            )
-            for rank in range(self.comm.size)
-        }
-        out = self._round(OP_DOT_PARTIAL, payloads, LIGHT_FLOOR)
-        return [float(out[r][1][0][0]) for r in sorted(out)]

@@ -6,37 +6,42 @@ interface values land in its ghost buffer (receives).  Diffpack's parallel
 toolbox calls this "communication pattern recognition"; here the pattern is a
 static object built once from the partition and reused by every exchange.
 
-Every transfer travels inside an **integrity envelope**: a per-(src, dst)
-sequence number plus a CRC-32 payload checksum.  Under fault injection the
-receiver validates the envelope and a failed delivery (drop, corruption,
-dead peer) is retransmitted under the communicator's bounded
-:class:`~repro.comm.communicator.RetryPolicy`; each failed attempt charges
-its timeout window to the cost ledger and emits a ``resilience.comm.retry``
-trace event.  Exhausting the budget raises a typed
-:class:`~repro.resilience.errors.CommFault` (``docs/robustness.md``).
-Without an active fault plan nothing can be lost or corrupted in a simulated
-exchange, so the checksum computation is elided from the clean hot path.
+A fault-free exchange on the in-process backend is a direct array copy per
+transfer: nothing can be lost or corrupted, so no envelope is built.  Every
+other exchange — any exchange on the multiprocess backend, and any exchange
+under an active fault plan — sends all of its transfers through the one
+reliable round, :func:`repro.comm.delivery.deliver`, as a batch of
+integrity-enveloped DATA frames (per-(src, dst) sequence number plus
+CRC-32), each answered by its destination rank.  Failed deliveries (drop,
+corruption, dead peer) are retransmitted under the communicator's bounded
+:class:`~repro.comm.communicator.RetryPolicy`, every failed attempt charges
+its timeout window to the cost ledger and emits a
+``resilience.comm.retry`` trace event, and exhausting the budget raises a
+typed :class:`~repro.resilience.errors.CommFault` (``docs/robustness.md``).
+On the in-process backend the loopback transport *is* the simulated
+delivery.
 
 With worker-resident compute active (multiprocess backend,
 :mod:`repro.comm.compute`), the values an exchange delivers are exactly
 what the next ``MATVEC_GHOSTS`` worker round ships back out: the driver
 gathers interface ghosts here, then forwards only those ghosts — never
-whole vectors — to the rank processes.  Worker command rounds share this
-module's failure model: the same fault-plan hook, the same retry
-classification, the same typed faults (``docs/algorithms.md`` §8).
+whole vectors — to the rank processes.  Worker command rounds go through
+the same reliable round, so they share this module's failure model: the
+same fault-plan hook, the same retry classification, the same typed
+faults (``docs/algorithms.md`` §8).
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from repro import faults, obs
+from repro.comm.backends import framing
 from repro.comm.communicator import Communicator
-from repro.resilience.errors import MessageCorruption, MessageTimeout, RankDeadError
+from repro.comm.delivery import Envelope, deliver
 
 
 @dataclass(frozen=True)
@@ -146,308 +151,66 @@ class CommunicationPattern:
         ghost: list[np.ndarray],
     ) -> None:
         plan = faults.active()
-        backend = comm.backend
-        if plan is not None:
-            plan.exchange_begin(backend=backend)
-        comm.comm_stats.messages += len(self.transfers)
-        for t in self.transfers:
-            if len(ghost[t.dst]) <= t.max_recv or len(owned[t.src]) <= t.max_send:
-                raise ValueError(
-                    f"ghost exchange {t.src}->{t.dst}: transfer targets ghost "
-                    f"index {t.max_recv} / owned index {t.max_send}, but rank "
-                    f"{t.dst} has {len(ghost[t.dst])} ghost slots and rank "
-                    f"{t.src} has {len(owned[t.src])} owned values"
-                )
-            if plan is not None:
-                # legacy silent kinds: corruption past the envelope — the
-                # checksum has already validated, detection falls to the
-                # numerical guards downstream
-                action, value = plan.transfer_action(t.src, t.dst)
-                if action == "drop":
-                    continue  # ghost slots keep whatever (stale) values they had
-                if action != "ok":
-                    ghost[t.dst][t.recv_ghost] = owned[t.src][t.send_local]
-                    if action == "corrupt":
-                        ghost[t.dst][t.recv_ghost] = np.nan
-                    else:  # "scale"
-                        ghost[t.dst][t.recv_ghost] *= value
-                    continue
-                if backend.is_real:
-                    self._deliver_backend(comm, plan, t, owned, ghost)
-                else:
-                    self._deliver_envelope(comm, plan, t, owned, ghost)
-                continue
-            if backend.is_real:
-                self._deliver_backend(comm, None, t, owned, ghost)
-                continue
-            ghost[t.dst][t.recv_ghost] = owned[t.src][t.send_local]
+        if plan is None and not comm.backend.is_real:
+            # nothing can be lost or corrupted: a direct copy per transfer
+            comm.comm_stats.messages += len(self.transfers)
+            for t in self.transfers:
+                _check_bounds(t, owned, ghost)
+                ghost[t.dst][t.recv_ghost] = owned[t.src][t.send_local]
+        else:
+            self._deliver(comm, plan, owned, ghost)
         comm.ledger.add_phase(
             0.0, msgs_per_rank=self._msgs_per_rank, bytes_per_rank=self._bytes_per_rank
         )
 
-    def _deliver_envelope(
+    def _deliver(
         self,
         comm: Communicator,
         plan,
-        t: ExchangeSpec,
         owned: list[np.ndarray],
         ghost: list[np.ndarray],
     ) -> None:
-        """Deliver one transfer through the integrity envelope.
+        """Send every transfer through the reliable round (:func:`deliver`).
 
-        Sequence number + CRC-32 checksum, bounded retransmission under
-        ``comm.retry_policy``.  Failed attempts charge their timeout window
-        (and the retransmission's messages/bytes) to the ledger; exhausting
-        the budget raises the matching :class:`CommFault`.
+        Each transfer is a DATA frame answered by its destination rank;
+        the ghost slots are written from the validated *response* payload,
+        so the bytes provably survived the round trip.  The legacy silent
+        ``ghost-*`` fault kinds act past the envelope (the checksum has
+        already validated, so detection falls to the numerical guards
+        downstream): their transfers skip the round.
         """
-        policy = comm.retry_policy
-        stats = comm.comm_stats
-        seq = comm.next_seq(t.src, t.dst)
-        payload = owned[t.src][t.send_local]
-        checksum = zlib.crc32(payload.tobytes())
-        delay = 0.0
-        retransmits = 0
-        last_reason = "timeout"
-        for attempt in range(policy.max_retries + 1):
-            if attempt:
-                stats.retries += 1
-                retransmits += 1
-            dead = plan.dead_ranks.intersection((t.src, t.dst))
-            if dead:
-                # no ack will ever come: the receiver burns the full
-                # timeout window on every attempt
-                last_reason = "timeout"
-                stats.timeouts += 1
-                delay += policy.wait(attempt)
-                obs.event(
-                    "resilience.comm.retry", src=t.src, dst=t.dst, seq=seq,
-                    attempt=attempt, reason="timeout",
-                )
-                continue
-            action = plan.delivery_action(t.src, t.dst, attempt)
-            if action == "drop":
-                last_reason = "timeout"
-                stats.timeouts += 1
-                delay += policy.wait(attempt)
-                obs.event(
-                    "resilience.comm.retry", src=t.src, dst=t.dst, seq=seq,
-                    attempt=attempt, reason="timeout",
-                )
-                continue
-            if action == "corrupt":
-                # the payload arrived, but its CRC does not match the
-                # envelope's: discard and request retransmission
-                wire = bytearray(payload.tobytes())
-                if wire:
-                    wire[0] ^= 0xFF  # one flipped bit is enough for CRC-32
-                corrupted = zlib.crc32(bytes(wire))
-                last_reason = "checksum"
-                stats.checksum_failures += 1
-                obs.event(
-                    "resilience.comm.retry", src=t.src, dst=t.dst, seq=seq,
-                    attempt=attempt, reason="checksum",
-                    expected=checksum, got=corrupted,
-                )
-                continue
-            lateness = plan.straggler_delay(t.src, t.dst)
-            if lateness > 0.0:
-                # late but intact: counted apart from retries so traces can
-                # tell a slow link from a lossy one
-                stats.straggler_waits += 1
-                delay += lateness
-            ghost[t.dst][t.recv_ghost] = payload
-            self._charge_recovery(comm, t, retransmits, delay)
-            return
-        self._charge_recovery(comm, t, retransmits, delay)
-        dead = plan.dead_ranks.intersection((t.src, t.dst))
-        if dead:
-            rank = min(dead)
-            stats.rank_dead += 1
-            obs.event("resilience.comm.rank_dead", rank=rank, src=t.src, dst=t.dst, seq=seq)
-            raise RankDeadError(
-                f"rank {rank} stopped responding: transfer {t.src}->{t.dst} "
-                f"timed out {policy.max_retries + 1} times",
-                rank=rank, src=t.src, dst=t.dst, seq=seq,
-                attempts=policy.max_retries + 1,
-            )
-        cls = MessageCorruption if last_reason == "checksum" else MessageTimeout
-        obs.event(
-            "resilience.comm.give_up", src=t.src, dst=t.dst, seq=seq,
-            reason=last_reason,
-        )
-        raise cls(
-            f"transfer {t.src}->{t.dst} failed {last_reason} validation "
-            f"{policy.max_retries + 1} times",
-            src=t.src, dst=t.dst, seq=seq, attempts=policy.max_retries + 1,
-        )
+        sent: list[ExchangeSpec] = []
 
-    def _deliver_backend(
-        self,
-        comm: Communicator,
-        plan,
-        t: ExchangeSpec,
-        owned: list[np.ndarray],
-        ghost: list[np.ndarray],
-    ) -> None:
-        """Deliver one transfer over a real execution-backend transport.
+        def envelopes():
+            # consumed by deliver() after its exchange_begin hook, so the
+            # ghost-* hooks keep their place in the fault order
+            for t in self.transfers:
+                _check_bounds(t, owned, ghost)
+                payload = owned[t.src][t.send_local]
+                if plan is not None:
+                    action, value = plan.transfer_action(t.src, t.dst)
+                    if action != "ok":
+                        comm.comm_stats.messages += 1
+                        if action == "corrupt":
+                            ghost[t.dst][t.recv_ghost] = np.nan
+                        elif action == "scale":
+                            ghost[t.dst][t.recv_ghost] = payload * value
+                        continue  # "drop": the slots keep their stale values
+                sent.append(t)
+                yield Envelope(t.src, t.dst, t.dst, payload.tobytes())
 
-        The payload travels as a :mod:`~repro.comm.backends.framing` DATA
-        frame to the destination rank's process, which validates seq +
-        CRC-32 and echoes it back as an ACK; the ghost slots are written
-        from the *response* payload, so the bytes provably survived the
-        round trip.  Transport timeouts feed the backend's supervisor
-        (missed-heartbeat accounting, fencing); a confirmed-dead rank
-        raises the supervisor's classification
-        (:class:`~repro.resilience.errors.RankDeadError`).  Injected
-        drops/corruption operate on the real wire bytes.
-        """
-        # deferred import: repro.comm.backends.base imports this package
-        from repro.comm.backends import framing
-        from repro.comm.backends.base import TransportBroken, TransportTimeout
+        responses = deliver(comm, framing.DATA, envelopes())
+        for t, raw in zip(sent, responses):
+            ghost[t.dst][t.recv_ghost] = np.frombuffer(raw, dtype=owned[t.src].dtype)
 
-        backend = comm.backend
-        policy = comm.retry_policy
-        stats = comm.comm_stats
-        seq = comm.next_seq(t.src, t.dst)
-        payload = owned[t.src][t.send_local]
-        raw = framing.encode_frame(
-            framing.DATA, t.src, t.dst, seq, payload.tobytes()
-        )
-        delay = 0.0
-        retransmits = 0
-        last_reason = "timeout"
-        for attempt in range(policy.max_retries + 1):
-            if attempt:
-                stats.retries += 1
-                retransmits += 1
-            wire = raw
-            if plan is not None and plan.dead_ranks.intersection((t.src, t.dst)):
-                # simulated rank-dead kinds: the peer process is healthy but
-                # plays dead, so every attempt burns its full window
-                last_reason = "timeout"
-                stats.timeouts += 1
-                delay += policy.wait(attempt)
-                obs.event(
-                    "resilience.comm.retry", src=t.src, dst=t.dst, seq=seq,
-                    attempt=attempt, reason="timeout", backend=backend.name,
-                )
-                continue
-            if plan is not None:
-                action = plan.delivery_action(t.src, t.dst, attempt)
-                if action == "drop":
-                    # lost on the wire: nothing to send, the window burns
-                    last_reason = "timeout"
-                    stats.timeouts += 1
-                    delay += policy.wait(attempt)
-                    obs.event(
-                        "resilience.comm.retry", src=t.src, dst=t.dst,
-                        seq=seq, attempt=attempt, reason="timeout",
-                        backend=backend.name,
-                    )
-                    continue
-                if action == "corrupt":
-                    # flip one payload bit in the real frame; the receiving
-                    # process detects the CRC mismatch and NAKs
-                    garbled = bytearray(raw)
-                    garbled[-1] ^= 0xFF
-                    wire = bytes(garbled)
-            timeout = policy.wait(attempt)
-            try:
-                resp = framing.decode_frame(
-                    backend.request(t.dst, wire, timeout)
-                )
-            except TransportTimeout:
-                last_reason = "timeout"
-                stats.timeouts += 1
-                delay += timeout
-                state = backend.handle_timeout(t.dst)
-                obs.event(
-                    "resilience.comm.retry", src=t.src, dst=t.dst, seq=seq,
-                    attempt=attempt, reason="timeout",
-                    backend=backend.name, peer_state=state,
-                )
-                continue
-            except TransportBroken:
-                # the peer process is confirmed gone — no point burning
-                # the remaining retry windows on a corpse
-                break
-            except MessageCorruption:
-                # a garbled response frame is a delivery fault like any
-                # other: count it and retransmit
-                last_reason = "checksum"
-                stats.checksum_failures += 1
-                obs.event(
-                    "resilience.comm.retry", src=t.src, dst=t.dst, seq=seq,
-                    attempt=attempt, reason="checksum", backend=backend.name,
-                )
-                continue
-            if resp.kind == framing.NAK:
-                reason = resp.payload.decode(errors="replace")
-                last_reason = "checksum"
-                stats.checksum_failures += 1
-                obs.event(
-                    "resilience.comm.retry", src=t.src, dst=t.dst, seq=seq,
-                    attempt=attempt, reason="checksum",
-                    backend=backend.name, nak=reason,
-                )
-                continue
-            if plan is not None:
-                lateness = plan.straggler_delay(t.src, t.dst)
-                if lateness > 0.0:
-                    stats.straggler_waits += 1
-                    delay += lateness
-            ghost[t.dst][t.recv_ghost] = np.frombuffer(
-                resp.payload, dtype=payload.dtype
-            )
-            self._charge_recovery(comm, t, retransmits, delay)
-            return
-        self._charge_recovery(comm, t, retransmits, delay)
-        fault = backend.classify(t.dst, src=t.src, dst=t.dst, seq=seq)
-        if isinstance(fault, RankDeadError):
-            stats.rank_dead += 1
-            obs.event(
-                "resilience.comm.rank_dead", rank=fault.rank, src=t.src,
-                dst=t.dst, seq=seq, backend=backend.name,
-            )
-            raise fault
-        if plan is not None:
-            dead = plan.dead_ranks.intersection((t.src, t.dst))
-            if dead:
-                rank = min(dead)
-                stats.rank_dead += 1
-                obs.event(
-                    "resilience.comm.rank_dead", rank=rank, src=t.src,
-                    dst=t.dst, seq=seq, backend=backend.name,
-                )
-                raise RankDeadError(
-                    f"rank {rank} stopped responding: transfer "
-                    f"{t.src}->{t.dst} timed out "
-                    f"{policy.max_retries + 1} times",
-                    rank=rank, src=t.src, dst=t.dst, seq=seq,
-                    attempts=policy.max_retries + 1,
-                )
-        cls = MessageCorruption if last_reason == "checksum" else MessageTimeout
-        obs.event(
-            "resilience.comm.give_up", src=t.src, dst=t.dst, seq=seq,
-            reason=last_reason, backend=backend.name,
-        )
-        raise cls(
-            f"transfer {t.src}->{t.dst} failed {last_reason} validation "
-            f"{policy.max_retries + 1} times",
-            src=t.src, dst=t.dst, seq=seq, attempts=policy.max_retries + 1,
-        )
 
-    def _charge_recovery(
-        self, comm: Communicator, t: ExchangeSpec, retransmits: int, delay: float
-    ) -> None:
-        """Charge retransmission traffic and timeout/straggler waits."""
-        if retransmits:
-            msgs = np.zeros(self.num_ranks)
-            nbytes = np.zeros(self.num_ranks)
-            msgs[[t.src, t.dst]] += retransmits
-            nbytes[[t.src, t.dst]] += 8.0 * t.count * retransmits
-            comm.ledger.add_phase(0.0, msgs_per_rank=msgs, bytes_per_rank=nbytes)
-        if delay > 0.0:
-            waits = np.zeros(self.num_ranks)
-            waits[t.dst] = delay
-            comm.ledger.add_delay(waits)
+def _check_bounds(
+    t: ExchangeSpec, owned: list[np.ndarray], ghost: list[np.ndarray]
+) -> None:
+    if len(ghost[t.dst]) <= t.max_recv or len(owned[t.src]) <= t.max_send:
+        raise ValueError(
+            f"ghost exchange {t.src}->{t.dst}: transfer targets ghost "
+            f"index {t.max_recv} / owned index {t.max_send}, but rank "
+            f"{t.dst} has {len(ghost[t.dst])} ghost slots and rank "
+            f"{t.src} has {len(owned[t.src])} owned values"
+        )

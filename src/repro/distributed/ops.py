@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.comm import compute as worker_compute
 from repro.comm.communicator import Communicator
 from repro.distributed.layout import Layout
 from repro.krylov.ops import fixed_tree_sum
@@ -34,28 +33,20 @@ class DistributedOps:
         Evaluated as per-rank partials combined by the fixed-order pairwise
         tree (:func:`~repro.krylov.ops.fixed_tree_sum`) — the reduction
         order is a function of the rank count alone, so the result is
-        bitwise identical whether the partials come from driver-local
-        slices (the default) or from worker processes
-        (``REPRO_WORKER_DOT=1``), on any backend.  One rank short-circuits
-        to the historical whole-vector product.
+        bitwise identical on any backend.  The partials are driver-local
+        slice products: cheaper than a worker round trip.  One rank
+        short-circuits to the historical whole-vector product.
         """
         self.comm.ledger.add_phase(2.0 * self.layout.sizes)
         self.comm.ledger.add_allreduce(nbytes=8)
         obs.event("comm.allreduce", bytes=8)
         if self.layout.num_ranks == 1:
             return float(np.dot(x, y))
-        wc = (
-            worker_compute.session(self.comm)
-            if worker_compute.dot_enabled() else None
-        )
-        if wc is not None:
-            parts = wc.dot_partials(self.layout, x, y)
-        else:
-            parts = [
-                float(np.dot(x[self.layout.local_slice(r)],
-                             y[self.layout.local_slice(r)]))
-                for r in range(self.layout.num_ranks)
-            ]
+        parts = [
+            float(np.dot(x[self.layout.local_slice(r)],
+                         y[self.layout.local_slice(r)]))
+            for r in range(self.layout.num_ranks)
+        ]
         return fixed_tree_sum(parts)
 
     def norm(self, x: np.ndarray) -> float:

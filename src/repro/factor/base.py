@@ -68,26 +68,23 @@ class ILUFactorization:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Apply (LU)^{-1}: forward then backward substitution.
 
-        On the numpy tier with the superlu backend, both sweeps run fused
+        On the numpy tier with SuperLU available, both sweeps run fused
         in a single compiled gstrs call (probe-verified bitwise against
         the scalar spec on first use — see docs/performance.md); every
-        other tier/backend composes the two :class:`TriangularFactor`
-        solves, which are bit-compatible with the fused path.
+        other tier composes the two :class:`TriangularFactor` solves,
+        which are bit-compatible with the fused path.
         """
         if (
             apply_kernels.resolve_tier() == "numpy"
             and self._fused_ok is not False
-            and apply_kernels.backend() == "superlu"
+            and apply_kernels.superlu_available()
         ):
             lslots = self.L.superlu_slots()
             uslots = self.U.superlu_slots()
             if lslots is not None and uslots is not None:
                 x = apply_kernels.gstrs_sweeps(self.n, lslots[0], uslots[1], b)
                 if self._fused_ok is None:
-                    self._fused_ok = (
-                        not apply_kernels.verify_enabled()
-                        or bool(np.array_equal(x, self._solve_spec(b)))
-                    )
+                    self._fused_ok = bool(np.array_equal(x, self._solve_spec(b)))
                     if not self._fused_ok:
                         obs.event("apply.probe_mismatch", kernel="ilu_fused", n=self.n)
                         return self.U.solve(self.L.solve(b))

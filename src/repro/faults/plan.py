@@ -264,11 +264,13 @@ class FaultPlan:
     def exchange_begin(self, backend=None) -> None:
         """Called once at the start of every delivery opportunity.
 
-        Two sites fire this hook: every ghost exchange
-        (:mod:`repro.comm.pattern`) and every worker command round
-        (:mod:`repro.comm.compute`) — with worker-resident compute on the
-        multiprocess backend, a ``MATVEC`` or ``APPLY`` round is as real a
-        chance to lose a rank as an exchange is.  The opportunity counter
+        One site fires this hook: the reliable round
+        (:func:`repro.comm.delivery.deliver`), once per call — which covers
+        every enveloped ghost exchange (:mod:`repro.comm.pattern`) and every
+        worker command round (:mod:`repro.comm.compute`); with
+        worker-resident compute on the multiprocess backend, a ``MATVEC``
+        or ``APPLY`` round is as real a chance to lose a rank as an
+        exchange is.  The opportunity counter
         of a ``rank-dead`` spec counts these calls, so ``start=k`` kills
         the rank at the k-th opportunity of the run.
 

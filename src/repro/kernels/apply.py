@@ -9,26 +9,19 @@ three names and the same bit-compatibility contract:
 * ``"numba"`` — the same loops jit-compiled (numba's default pipeline does
   not contract multiply-add or reassociate, so the compiled sweeps are
   bit-compatible with the spec by construction).
-* ``"numpy"`` — array-native backends; two are provided and selected by
-  ``REPRO_APPLY_BACKEND`` (``auto`` | ``superlu`` | ``levels``):
-
-  - ``superlu`` (default when available): both unit sweeps of one
-    preconditioner application executed by a single call into scipy's
-    compiled SuperLU ``gstrs`` routine.  Its column-oriented substitution
-    performs, per unknown, the identical sequence of multiply-subtract
-    operations as the row-oriented spec (ascending column order forward,
-    descending backward — see :mod:`repro.kernels.applyspec`), so the
-    result is bitwise identical.  Because that identity rests on an
-    external library's implementation detail, it is *probe-verified*: the
-    first application through each prepared factor is recomputed with the
-    interpreted spec and compared bitwise; any mismatch disables the
-    backend for that factor and emits an ``apply.probe_mismatch``
-    observability event (``REPRO_APPLY_VERIFY=0`` skips the probe).
-  - ``levels`` — level-scheduled slot sweep, pure NumPy: rows of one
-    dependency level are advanced together, one entry *slot* at a time
-    (ascending slots forward, descending backward), so every row's
-    accumulator sees the spec's operation order exactly.  Bit-compatible
-    by construction; the fallback when SuperLU's private module moves.
+* ``"numpy"`` — both unit sweeps of one preconditioner application
+  executed by a single call into scipy's compiled SuperLU ``gstrs``
+  routine.  Its column-oriented substitution performs, per unknown, the
+  identical sequence of multiply-subtract operations as the row-oriented
+  spec (ascending column order forward, descending backward — see
+  :mod:`repro.kernels.applyspec`), so the result is bitwise identical.
+  Because that identity rests on an external library's implementation
+  detail, it is *probe-verified*: the first application through each
+  prepared factor is recomputed with the interpreted spec and compared
+  bitwise; any mismatch disables SuperLU for that factor and emits an
+  ``apply.probe_mismatch`` observability event.  Without SuperLU (the
+  private module moved, or the probe failed) the sweeps run the
+  interpreted spec.
 
 Matvec: scipy's compiled CSR product accumulates each row left-to-right
 into a scalar, matching ``applyspec.csr_matvec`` bitwise, so the numpy
@@ -42,16 +35,10 @@ every tier shares one elementwise scaling and the sweeps never divide.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import scipy.sparse as sp
 
 from . import applyspec, numba_tier
-
-_BACKEND_ENV = "REPRO_APPLY_BACKEND"
-_VERIFY_ENV = "REPRO_APPLY_VERIFY"
-_BACKENDS = ("auto", "superlu", "levels")
 
 # SuperLU's index arrays are C ints; fall back rather than overflow
 _INTC_MAX = np.iinfo(np.intc).max
@@ -75,29 +62,6 @@ def _superlu():
 def superlu_available() -> bool:
     """True when the compiled ``gstrs`` entry point is importable."""
     return _superlu() is not None
-
-
-def backend() -> str:
-    """Resolved numpy-tier backend: ``"superlu"`` or ``"levels"``."""
-    env = os.environ.get(_BACKEND_ENV, "auto").strip().lower() or "auto"
-    if env not in _BACKENDS:
-        raise ValueError(
-            f"unknown apply backend {env!r}; expected one of {_BACKENDS}"
-        )
-    if env == "levels":
-        return "levels"
-    if env == "superlu" and not superlu_available():
-        raise RuntimeError(
-            "apply backend 'superlu' requested but scipy's compiled gstrs "
-            "is not importable"
-        )
-    return "superlu" if superlu_available() else "levels"
-
-
-def verify_enabled() -> bool:
-    """Whether the one-time superlu probe verification runs (default on)."""
-    flag = os.environ.get(_VERIFY_ENV, "1").strip().lower()
-    return flag not in ("0", "off", "false", "no")
 
 
 def resolve_tier() -> str:
@@ -181,52 +145,6 @@ def gstrs_sweeps(n: int, lslot, uslot, b: np.ndarray) -> np.ndarray:
     if info != 0:
         raise RuntimeError(f"SuperLU gstrs failed with info={info}")
     return np.asarray(x, dtype=np.float64)
-
-
-# -- level-scheduled slot sweep (pure NumPy, bit-compatible) ------------------
-
-
-def prepare_level_slots(strict: sp.csr_matrix, schedule, lower: bool):
-    """Precompute per-level slot gathers for the ``levels`` backend.
-
-    For each dependency level, rows are advanced together one entry *slot*
-    at a time: slot ``s`` of a row is its ``s``-th stored entry counted in
-    sweep order (from the row start for forward sweeps, from the row end
-    for backward sweeps).  Each slot update is one elementwise
-    multiply-subtract across the level's still-active rows, so every row's
-    accumulator sees the exact operation sequence of the scalar spec while
-    the Python-level loop runs over ``levels × slots`` instead of rows.
-    """
-    indptr, indices, data = strict.indptr, strict.indices, strict.data
-    order, level_ptr = schedule.order, schedule.level_ptr
-    levels = []
-    for k in range(schedule.num_levels):
-        rows = order[level_ptr[k] : level_ptr[k + 1]]
-        starts = indptr[rows].astype(np.int64)
-        counts = (indptr[rows + 1] - indptr[rows]).astype(np.int64)
-        max_c = int(counts.max()) if len(counts) else 0
-        slots = []
-        # sort rows by descending count once so slot s is a prefix slice
-        by_count = np.argsort(-counts, kind="stable")
-        rows_s, starts_s, counts_s = rows[by_count], starts[by_count], counts[by_count]
-        for s in range(max_c):
-            # rows remain active at slot s while their count exceeds s
-            active = int(np.searchsorted(-counts_s, -s, side="left"))
-            rsub = rows_s[:active]
-            entry = (starts_s[:active] + s) if lower else (
-                starts_s[:active] + counts_s[:active] - 1 - s
-            )
-            slots.append((rsub, data[entry].copy(), indices[entry].copy()))
-        levels.append(slots)
-    return levels
-
-
-def level_slot_solve(levels, x: np.ndarray) -> np.ndarray:
-    """In-place unit-triangle solve using prepared level slots."""
-    for slots in levels:
-        for rows, vals, cols in slots:
-            x[rows] -= vals * x[cols]
-    return x
 
 
 # -- matvec -------------------------------------------------------------------

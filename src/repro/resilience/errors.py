@@ -86,8 +86,8 @@ class InnerSolveDivergence(SolverFault):
 class CommFault(SolverFault):
     """Base class of confirmed communication failures.
 
-    Raised by the ghost-exchange integrity envelope
-    (:meth:`repro.comm.CommunicationPattern.exchange`) only after the
+    Raised by the reliable round (:func:`repro.comm.delivery.deliver`,
+    behind every ghost exchange and worker command round) only after the
     bounded timeout/retry/backoff policy (:class:`repro.comm.RetryPolicy`)
     is exhausted.  ``context`` always carries ``src``, ``dst`` and ``seq``
     (the envelope sequence number of the failed transfer).

@@ -5,9 +5,10 @@ preconditioner application (twice per subdomain per iteration), so it must
 not be a Python per-row loop.  :class:`TriangularFactor` prepares a
 strictly triangular factor once and dispatches each solve through the
 apply-kernel tiers of :mod:`repro.kernels.apply` — a compiled SuperLU
-column sweep or a level-scheduled slot sweep on the numpy tier, the jitted
-scalar loops on the numba tier, and the interpreted specification loops on
-the reference tier.  All tiers produce bitwise-identical solutions (the
+column sweep on the numpy tier (the interpreted specification loops when
+SuperLU is unavailable or fails its bitwise probe), the jitted scalar loops
+on the numba tier, and the interpreted specification loops on the reference
+tier.  All tiers produce bitwise-identical solutions (the
 contract is documented in docs/performance.md, "Apply phase").
 
 Non-unit diagonals never enter the sweeps: the factor stores its strict
@@ -17,8 +18,8 @@ output elementwise by ``1/d`` — one shared operation, identical in every
 tier.
 
 Level scheduling (Saad, "Iterative Methods for Sparse Linear Systems",
-Ch. 12) groups rows into dependency levels; it drives the pure-NumPy slot
-sweep and feeds the performance model: the number of levels is the
+Ch. 12) groups rows into dependency levels; it feeds the performance
+model: the number of levels is the
 critical-path length of the triangular solve, exactly the quantity a
 parallel ILU apply is limited by.
 """
@@ -140,7 +141,6 @@ class TriangularFactor:
                 shape=strict.shape,
             )
         self._schedule: LevelSchedule | None = None
-        self._level_slots = None
         self._superlu_slots = None
         self._superlu_ok: bool | None = None  # None = not yet probed
 
@@ -186,13 +186,6 @@ class TriangularFactor:
             self._superlu_slots = slots
         return self._superlu_slots
 
-    def _slot_levels(self):
-        if self._level_slots is None:
-            self._level_slots = apply_kernels.prepare_level_slots(
-                self.scaled, self.schedule, self.lower
-            )
-        return self._level_slots
-
     # -- solves ---------------------------------------------------------------
 
     def _sweep_reference(self, x: np.ndarray) -> np.ndarray:
@@ -202,22 +195,19 @@ class TriangularFactor:
         return applyspec.backward_unit(s.indptr, s.indices, s.data, x)
 
     def _sweep_numpy(self, x: np.ndarray) -> np.ndarray:
-        if apply_kernels.backend() == "superlu" and self._superlu_ok is not False:
-            slots = self.superlu_slots()
-            if slots is not None:
-                y = apply_kernels.gstrs_sweeps(self.n, slots[0], slots[1], x)
-                if self._superlu_ok is None:
-                    self._superlu_ok = not apply_kernels.verify_enabled() or bool(
-                        np.array_equal(y, self._sweep_reference(x.copy()))
-                    )
-                    if not self._superlu_ok:
-                        obs.event(
-                            "apply.probe_mismatch", kernel="triangular",
-                            n=self.n, lower=bool(self.lower),
-                        )
-                        return apply_kernels.level_slot_solve(self._slot_levels(), x)
-                return y
-        return apply_kernels.level_slot_solve(self._slot_levels(), x)
+        slots = self.superlu_slots() if self._superlu_ok is not False else None
+        if slots is None:
+            return self._sweep_reference(x)
+        y = apply_kernels.gstrs_sweeps(self.n, slots[0], slots[1], x)
+        if self._superlu_ok is None:
+            self._superlu_ok = bool(np.array_equal(y, self._sweep_reference(x.copy())))
+            if not self._superlu_ok:
+                obs.event(
+                    "apply.probe_mismatch", kernel="triangular",
+                    n=self.n, lower=bool(self.lower),
+                )
+                return self._sweep_reference(x)
+        return y
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``T x = b`` where ``T = strict + diag(diag or 1)``."""

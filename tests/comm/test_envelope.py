@@ -14,6 +14,9 @@ from repro.resilience.errors import (
 )
 
 
+pytestmark = pytest.mark.usefixtures("every_backend")
+
+
 @pytest.fixture()
 def pattern():
     transfers = [

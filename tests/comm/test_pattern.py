@@ -5,6 +5,9 @@ from repro.comm.communicator import Communicator
 from repro.comm.pattern import CommunicationPattern, ExchangeSpec
 
 
+pytestmark = pytest.mark.usefixtures("every_backend")
+
+
 @pytest.fixture()
 def two_rank_pattern():
     # rank 0 sends its owned[2] to rank 1's ghost[0]; rank 1 sends owned[0]

@@ -8,6 +8,9 @@ from repro.comm.pattern import CommunicationPattern, ExchangeSpec
 from repro.faults import FaultPlan, FaultSpec, inject
 
 
+pytestmark = pytest.mark.usefixtures("every_backend")
+
+
 class TestAdoptSeq:
     def test_surviving_edges_remap_down_past_the_dead_rank(self):
         prev = Communicator(4)

@@ -12,7 +12,6 @@ from repro.comm import compute
 from repro.comm.backends import InProcessBackend, framing
 from repro.comm.communicator import Communicator
 from repro.distributed.layout import Layout
-from repro.distributed.ops import DistributedOps
 from repro.factor.ilu0 import ilu0
 
 
@@ -54,12 +53,6 @@ class TestSessionGating:
         assert wc is not None
         assert compute.session(mp_comm) is wc
         assert wc.backend is mp_comm.backend
-
-    def test_dot_partials_are_opt_in(self, monkeypatch):
-        monkeypatch.delenv(compute.DOT_ENV, raising=False)
-        assert not compute.dot_enabled()
-        monkeypatch.setenv(compute.DOT_ENV, "1")
-        assert compute.dot_enabled()
 
 
 class TestShipOnce:
@@ -106,40 +99,18 @@ class TestBitwiseParity:
         assert z.tobytes() == want.tobytes()
         assert wc._z_last is z  # parked for a fused ghost matvec
 
-    def test_dot_partials_match_driver_partials(self, mp_comm):
-        wc = compute.session(mp_comm)
-        layout = Layout.from_sizes([5, 8])
-        rng = np.random.default_rng(9)
-        x, y = rng.standard_normal(13), rng.standard_normal(13)
-        parts = wc.dot_partials(layout, x, y)
-        want = [float(np.dot(x[layout.local_slice(r)],
-                             y[layout.local_slice(r)])) for r in range(2)]
-        assert parts == want
-
-    def test_distributed_dot_identical_either_transport(self, mp_comm,
-                                                        monkeypatch):
-        layout = Layout.from_sizes([5, 8])
-        ops = DistributedOps(mp_comm, layout)
-        rng = np.random.default_rng(3)
-        x, y = rng.standard_normal(13), rng.standard_normal(13)
-        monkeypatch.delenv(compute.DOT_ENV, raising=False)
-        local = ops.dot(x, y)
-        monkeypatch.setenv(compute.DOT_ENV, "1")
-        shipped = ops.dot(x, y)
-        assert local == shipped  # bitwise: same partials, same tree
-
 
 class TestRequestManyDefault:
     def test_sequential_fallback_answers_every_rank(self):
         backend = InProcessBackend(3)
         try:
-            messages = {
-                r: framing.encode_frame(framing.PING, r, r, 10 + r)
+            messages = [
+                (r, framing.encode_frame(framing.PING, r, r, 10 + r))
                 for r in range(3)
-            }
+            ]
             out = backend.request_many(messages, timeout=1.0)
-            assert sorted(out) == [0, 1, 2]
-            for r, raw in out.items():
+            assert len(out) == 3
+            for r, raw in enumerate(out):
                 frame = framing.decode_frame(raw)
                 assert frame.kind == framing.PONG and frame.seq == 10 + r
         finally:
@@ -150,5 +121,5 @@ class TestRequestManyDefault:
         # so one bad rank cannot mask the other ranks' results
         backend = mp_comm.backend
         good = framing.encode_frame(framing.PING, 0, 0, 999)
-        out = backend.request_many({0: good}, timeout=2.0)
+        out = backend.request_many([(0, good)], timeout=2.0)
         assert framing.decode_frame(out[0]).kind == framing.PONG

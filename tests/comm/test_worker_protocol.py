@@ -221,15 +221,6 @@ class TestHandlerParity:
         want = apply_kernels.csr_matvec(block, xsub)
         assert np.asarray(arrays[0]).tobytes() == want.tobytes()
 
-    def test_dot_partial_matches_numpy(self):
-        store = worker.SubdomainStore()
-        rng = np.random.default_rng(11)
-        x, y = rng.standard_normal(31), rng.standard_normal(31)
-        _, arrays = _result(worker.execute(
-            store, worker.pack_command(worker.OP_DOT_PARTIAL, {}, [x, y])
-        ))
-        assert float(np.asarray(arrays[0])[0]) == float(np.dot(x, y))
-
 
 class TestErrorBoundary:
     """Exceptions serialize as typed meta; the worker loop never dies."""
@@ -268,6 +259,19 @@ class TestErrorBoundary:
         store = worker.SubdomainStore()
         meta, _ = _result(worker.execute(store, b"\xff\x00garbage"))
         assert meta["etype"] == "ValueError"
+
+    @pytest.mark.parametrize("payload", [
+        b"",
+        bytes([99]) + worker.pack_command(worker.OP_APPLY, {})[1:],
+    ], ids=["empty", "unknown-opcode"])
+    def test_undecodable_command_is_reported_as_such(self, payload):
+        store = worker.SubdomainStore()
+        op, meta, arrays = worker.unpack_command(worker.execute(store, payload))
+        assert op == worker.UNDECODABLE
+        assert meta["etype"] == "ValueError"
+        assert meta["error"].startswith("undecodable command:")
+        assert meta["seconds"] >= 0.0
+        assert arrays == []
 
     def test_factorization_breakdown_travels_as_typed_meta(self):
         from repro.resilience.errors import FactorizationBreakdown

@@ -1,12 +1,11 @@
-"""Tier- and backend-equivalence of the apply kernels — bitwise.
+"""Tier equivalence of the apply kernels — bitwise.
 
-The contract (docs/performance.md, "Apply phase"): every tier and every
-numpy-tier backend of the triangular sweeps, the fused ILU apply and the
-CSR matvec produces bit-identical output.  These tests compare raw arrays
-with ``np.array_equal`` — no tolerances anywhere.
+The contract (docs/performance.md, "Apply phase"): every tier of the
+triangular sweeps, the fused ILU apply and the CSR matvec produces
+bit-identical output, and so does the numpy tier's spec fallback when
+SuperLU is unavailable.  These tests compare raw arrays with
+``np.array_equal`` — no tolerances anywhere.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -17,20 +16,9 @@ from repro.factor.ilu0 import ilu0
 from repro.factor.ilut import ilut
 from repro.kernels import apply as apply_kernels
 from repro.kernels import applyspec, numba_tier
-from repro.sparse.triangular import TriangularFactor, build_levels
+from repro.sparse.triangular import TriangularFactor
 
 NUMBA = numba_tier.available() and numba_tier.load_apply() is not None
-
-
-@pytest.fixture
-def backend_env():
-    """Restore REPRO_APPLY_BACKEND after a test that forces it."""
-    prev = os.environ.get("REPRO_APPLY_BACKEND")
-    yield
-    if prev is None:
-        os.environ.pop("REPRO_APPLY_BACKEND", None)
-    else:
-        os.environ["REPRO_APPLY_BACKEND"] = prev
 
 
 def _test_matrix(n=300, seed=7):
@@ -42,19 +30,13 @@ def _test_matrix(n=300, seed=7):
     return sp.csr_matrix(a + sp.random(n, n, 0.02, random_state=seed))
 
 
-def _tier_solutions(fac, b, backend_env):
-    """fac.solve(b) under every tier/backend this process supports."""
+def _tier_solutions(fac, b):
+    """fac.solve(b) under every tier this process supports."""
     out = {}
     with kernels.forced_tier("reference"):
         out["reference"] = fac.solve(b)
     with kernels.forced_tier("numpy"):
-        out["numpy_auto"] = fac.solve(b)
-        os.environ["REPRO_APPLY_BACKEND"] = "levels"
-        out["numpy_levels"] = fac.solve(b)
-        if apply_kernels.superlu_available():
-            os.environ["REPRO_APPLY_BACKEND"] = "superlu"
-            out["numpy_superlu"] = fac.solve(b)
-        os.environ.pop("REPRO_APPLY_BACKEND", None)
+        out["numpy"] = fac.solve(b)
     if NUMBA:
         with kernels.forced_tier("numba"):
             out["numba"] = fac.solve(b)
@@ -63,21 +45,21 @@ def _tier_solutions(fac, b, backend_env):
 
 class TestTriangularTierEquivalence:
     @pytest.mark.parametrize("factorizer", [ilu0, lambda a: ilut(a, 1e-4, 15)])
-    def test_fused_ilu_solve_bitwise_across_tiers(self, factorizer, backend_env, rng):
+    def test_fused_ilu_solve_bitwise_across_tiers(self, factorizer, rng):
         a = _test_matrix()
         fac = factorizer(a)
         b = rng.standard_normal(a.shape[0])
-        sols = _tier_solutions(fac, b, backend_env)
+        sols = _tier_solutions(fac, b)
         ref = sols.pop("reference")
         for name, x in sols.items():
             assert np.array_equal(x, ref), f"{name} differs from reference"
 
-    def test_solo_sweeps_bitwise_across_tiers(self, backend_env, rng):
+    def test_solo_sweeps_bitwise_across_tiers(self, rng):
         a = _test_matrix(seed=11)
         fac = ilut(a, 1e-4, 15)
         b = rng.standard_normal(a.shape[0])
         for tri in (fac.L, fac.U):
-            sols = _tier_solutions(tri, b, backend_env)
+            sols = _tier_solutions(tri, b)
             ref = sols.pop("reference")
             for name, x in sols.items():
                 assert np.array_equal(x, ref), f"{name} sweep differs from reference"
@@ -98,21 +80,18 @@ class TestTriangularTierEquivalence:
                 fac.U.solve(b)
         assert np.array_equal(b, b0)
 
-    def test_levels_backend_forced(self, backend_env, rng):
-        """REPRO_APPLY_BACKEND=levels must not touch SuperLU at all."""
-        os.environ["REPRO_APPLY_BACKEND"] = "levels"
+    def test_numpy_tier_without_superlu_runs_the_spec(self, rng, monkeypatch):
+        """No compiled gstrs: the numpy tier sweeps with the scalar spec."""
+        monkeypatch.setattr(apply_kernels, "_superlu", lambda: None)
         fac = ilut(_test_matrix(seed=13), 1e-4, 15)
         b = rng.standard_normal(fac.n)
         with kernels.forced_tier("numpy"):
             x = fac.solve(b)
+            lx = fac.L.solve(b)
         assert fac.L._superlu_slots is None and fac.U._superlu_slots is None
         with kernels.forced_tier("reference"):
             assert np.array_equal(x, fac.solve(b))
-
-    def test_unknown_backend_rejected(self, backend_env):
-        os.environ["REPRO_APPLY_BACKEND"] = "cuda"
-        with pytest.raises(ValueError):
-            apply_kernels.backend()
+            assert np.array_equal(lx, fac.L.solve(b))
 
 
 class TestMatvecTiers:
@@ -175,40 +154,31 @@ class TestProbeVerification:
         with kernels.forced_tier("reference"):
             assert np.array_equal(x, fac.solve(b))
 
-    def test_verify_disabled_skips_probe(self, rng, monkeypatch):
-        monkeypatch.setenv("REPRO_APPLY_VERIFY", "0")
-        assert not apply_kernels.verify_enabled()
-        fac = ilut(_test_matrix(seed=31), 1e-4, 15)
-        b = rng.standard_normal(fac.n)
-        with kernels.forced_tier("numpy"):
-            fac.solve(b)
-        assert fac._fused_ok is True
-
 
 class TestLevelSchedulerEdgeCases:
-    """Empty-level / singleton-row suite for the level scheduler and the
-    slot-sweep backend built on it."""
+    """Empty-level / singleton-row suite for the level scheduler, with
+    every tier's sweep on those shapes."""
 
-    def test_singleton_matrix(self, backend_env, rng):
+    def test_singleton_matrix(self, rng):
         t = TriangularFactor(sp.csr_matrix((1, 1)), np.array([2.0]), lower=False)
         assert t.num_levels == 1
         for tier in ("reference", "numpy"):
             with kernels.forced_tier(tier):
                 assert np.array_equal(t.solve(np.array([3.0])), np.array([1.5]))
 
-    def test_diagonal_only_factor_single_level(self, backend_env, rng):
+    def test_diagonal_only_factor_single_level(self, rng):
         n = 7
         t = TriangularFactor(sp.csr_matrix((n, n)), np.arange(1.0, n + 1.0), lower=False)
         assert t.num_levels == 1
         b = rng.standard_normal(n)
-        sols = _tier_solutions(t, b, backend_env)
+        sols = _tier_solutions(t, b)
         ref = sols.pop("reference")
         for name, x in sols.items():
             assert np.array_equal(x, ref), name
 
-    def test_empty_strict_rows_inside_levels(self, backend_env, rng):
+    def test_empty_strict_rows_inside_levels(self, rng):
         # half the rows have no strict entries (level 0), half depend on
-        # them (level 1): exercises zero-count rows in the slot sweep
+        # them (level 1): exercises rows with no strict entries
         n = 100
         rows = np.arange(1, n, 2)
         l = sp.coo_matrix(
@@ -217,36 +187,22 @@ class TestLevelSchedulerEdgeCases:
         t = TriangularFactor(l, None, lower=True)
         assert t.num_levels == 2
         b = rng.standard_normal(n)
-        sols = _tier_solutions(t, b, backend_env)
+        sols = _tier_solutions(t, b)
         ref = sols.pop("reference")
         for name, x in sols.items():
             assert np.array_equal(x, ref), name
 
-    def test_chain_every_level_singleton(self, backend_env, rng):
-        # bidiagonal chain: n levels of one row each — the slot sweep's
-        # worst case and the shape that motivated the superlu backend
+    def test_chain_every_level_singleton(self, rng):
+        # bidiagonal chain: n levels of one row each
         n = 60
         l = sp.diags([rng.random(n - 1) + 0.5], [-1], format="csr")
         t = TriangularFactor(sp.csr_matrix(l), None, lower=True)
         assert t.num_levels == n
         b = rng.standard_normal(n)
-        sols = _tier_solutions(t, b, backend_env)
+        sols = _tier_solutions(t, b)
         ref = sols.pop("reference")
         for name, x in sols.items():
             assert np.array_equal(x, ref), name
-
-    def test_prepare_level_slots_partitions_entries(self):
-        l = sp.tril(sp.random(50, 50, 0.2, random_state=2), -1, format="csr")
-        sched = build_levels(l, lower=True)
-        levels = apply_kernels.prepare_level_slots(l, sched, lower=True)
-        total = sum(len(rows) for slots in levels for rows, _, _ in slots)
-        assert total == l.nnz
-
-    def test_empty_matrix_zero_slots(self):
-        l = sp.csr_matrix((5, 5))
-        sched = build_levels(l, lower=True)
-        levels = apply_kernels.prepare_level_slots(l, sched, lower=True)
-        assert levels == [[]]
 
 
 @pytest.mark.skipif(not NUMBA, reason="numba not installed")
