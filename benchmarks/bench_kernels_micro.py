@@ -141,7 +141,7 @@ def test_kernel_ilut_tier_speedup():
     from repro import kernels
     from repro.factor import cache as factor_cache
     from repro.factor.reference import ilut_reference
-    from repro.kernels import band, numba_tier
+    from repro.kernels import band
 
     a, case = _tc1_subdomain_block()
     n = a.shape[0]
@@ -218,21 +218,6 @@ def test_kernel_ilut_tier_speedup():
             "speedup": t0_ref / t0_np,
         }
 
-        numba_info = {"available": numba_tier.available(), "matches_numpy": None}
-        if numba_info["available"]:
-            with kernels.forced_tier("numba"):
-                fac_nb = ilut(a, *grid[-1])
-                f0_nb = ilu0(a)
-                numba_info["setup_ms"] = {
-                    "ilut": best(lambda: ilut(a, *grid[-1])),
-                    "ilu0": best(lambda: ilu0(a)),
-                }
-            numba_info["matches_numpy"] = bool(
-                np.array_equal(fac_nb.l_strict.data, fac_np.l_strict.data)
-                and np.array_equal(fac_nb.u_upper.data, fac_np.u_upper.data)
-                and np.array_equal(f0_nb.u_upper.data, f0_np.u_upper.data)
-            )
-            assert numba_info["matches_numpy"]
     finally:
         factor_cache.configure(enabled=True)
 
@@ -244,11 +229,10 @@ def test_kernel_ilut_tier_speedup():
         "block_n": n,
         "bandwidth": int(bw),
         "ordering": "rcm",
-        "tiers": ["reference", "numpy"] + (["numba"] if numba_info["available"] else []),
+        "tiers": ["reference", "numpy"],
         "gate": {"drop_tol": 1e-4, "fill": 20, "required_speedup": 5.0},
         "ilut": ilut_rows,
         "ilu0": ilu0_row,
-        "numba": numba_info,
     }
     # v2: the apply/whole_solve sections are owned by bench_apply_micro.py
     # and merged into the same document (see common.merge_results_json)

@@ -5,7 +5,7 @@ contract for parallel ILU: without it, preconditioner comparisons measure
 scheduling noise, not algorithms.  This repo has two places where that
 contract is at risk and this module checks both, bitwise:
 
-* **kernel tiers** — the reference / numpy / numba dispatch
+* **kernel tiers** — the reference / numpy dispatch
   (:mod:`repro.kernels`) must produce identical factors, iterates and
   residual histories for the same case;
 * **setup parallelism** — ``REPRO_SETUP_WORKERS=1`` vs ``N`` must not
@@ -215,11 +215,6 @@ def _factor_digest(blocks: Sequence[sp.csr_matrix], tier: str) -> str:
     return h.hexdigest()
 
 
-def available_tiers() -> tuple[str, ...]:
-    """The kernel tiers this process can force (numba only if importable)."""
-    return kernels.available_tiers()
-
-
 def check_determinism(
     cases: Sequence[TestCase],
     nparts: int = 4,
@@ -243,7 +238,7 @@ def check_determinism(
 
     ``checks`` selects a subset of :data:`CHECK_KINDS` (default: all).
     """
-    tiers = tuple(tiers) if tiers is not None else available_tiers()
+    tiers = tuple(tiers) if tiers is not None else kernels.available_tiers()
     workers = tuple(workers)
     selected = tuple(checks) if checks is not None else CHECK_KINDS
     for kind in selected:

@@ -609,11 +609,8 @@ def cmd_verify_protocol(args: argparse.Namespace) -> int:
 
 
 def cmd_check_determinism(args: argparse.Namespace) -> int:
-    from repro.analysis.determinism import (
-        CHECK_KINDS,
-        available_tiers,
-        check_determinism,
-    )
+    from repro.analysis.determinism import CHECK_KINDS, check_determinism
+    from repro.kernels import available_tiers
 
     cases = [
         _build_case(key.strip(), args.size)

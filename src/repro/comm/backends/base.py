@@ -68,14 +68,16 @@ class ExecutionBackend(ABC):
     Lifecycle: backends start lazily (:meth:`ensure_started`) on first
     transfer and are shut down by the owning communicator's ``close()``.
     ``is_real`` distinguishes backends whose ranks can *actually* die from
-    the simulated default — the ghost exchange sends every transfer over
-    the transport when it is True, and the in-process backend's loopback
-    only under an active fault plan.
+    the simulated default: worker-resident compute runs only on a real
+    backend, and the fault layer kills real processes there.  The ghost
+    exchange does not consult it — a fault-free exchange is a driver-side
+    copy on every backend, and the transport carries ghost values only
+    under an active fault plan.
     """
 
     #: short selectable name (one of :data:`BACKEND_NAMES`)
     name: str = "abstract"
-    #: True when ranks are real OS processes (transfers must use the wire)
+    #: True when ranks are real OS processes that can die
     is_real: bool = False
     #: shortest response window a delivery round gives this transport,
     #: whatever the retry policy says (a loopback answers at once)

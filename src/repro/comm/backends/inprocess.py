@@ -1,9 +1,10 @@
 """The in-process backend: the historical single-process simulation.
 
-Ranks are slices of the driver process, a transfer is an array copy, and the
-clean path never touches the wire — the ghost exchange keeps its direct-copy
-fast path, so this backend is bit-identical *and* cost-identical to the
-pre-backend behavior.  :meth:`InProcessBackend.request` implements the frame
+Ranks are slices of the driver process and a transfer is an array copy.  A
+fault-free ghost exchange never touches the wire on any backend (it is a
+direct copy on the driver), and with no rank processes to run worker
+rounds this backend never sees a frame outside a fault plan.
+:meth:`InProcessBackend.request` implements the frame
 protocol as a local loopback (validate, echo; NAK a frame that fails
 validation, as a rank process would).  Under an active fault plan the ghost
 exchange runs through :func:`repro.comm.delivery.deliver` and this loopback

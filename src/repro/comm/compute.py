@@ -28,8 +28,9 @@ rounds are delivery opportunities like ghost exchanges) and emits one
 CPU seconds — the raw material for ``repro trace``'s per-rank attribution
 and the scaling bench's critical-path model (``docs/performance.md``).
 
-Env gate: ``REPRO_WORKER_COMPUTE=0`` disables the session entirely
-(multiprocess ranks fall back to validate-and-echo, the PR 7 behavior).
+Env gate: ``REPRO_WORKER_COMPUTE=0`` disables the session entirely (the
+arithmetic stays on the driver, and a fault-free solve sends the rank
+processes no frames at all).
 """
 
 from __future__ import annotations

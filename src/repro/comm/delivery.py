@@ -1,8 +1,8 @@
 """The reliable round: the one delivery loop behind every envelope frame.
 
-Ghost exchanges (:mod:`repro.comm.pattern`) and worker command rounds
-(:mod:`repro.comm.compute`) both move a *batch* of integrity-enveloped
-frames — per-(src, dst) sequence number plus CRC-32
+Ghost exchanges under a fault plan (:mod:`repro.comm.pattern`) and worker
+command rounds (:mod:`repro.comm.compute`) both move a *batch* of
+integrity-enveloped frames — per-(src, dst) sequence number plus CRC-32
 (:mod:`~repro.comm.backends.framing`) — through the communicator's
 execution backend, and both need the same guarantees.  :func:`deliver` is
 the single implementation:

@@ -6,10 +6,10 @@ interface values land in its ghost buffer (receives).  Diffpack's parallel
 toolbox calls this "communication pattern recognition"; here the pattern is a
 static object built once from the partition and reused by every exchange.
 
-A fault-free exchange on the in-process backend is a direct array copy per
-transfer: nothing can be lost or corrupted, so no envelope is built.  Every
-other exchange — any exchange on the multiprocess backend, and any exchange
-under an active fault plan — sends all of its transfers through the one
+A fault-free exchange is a direct array copy per transfer on every
+backend: the values are made on the driver and read back on the driver, so
+a round trip through the rank processes would protect nothing.  Under an
+active fault plan an exchange sends all of its transfers through the one
 reliable round, :func:`repro.comm.delivery.deliver`, as a batch of
 integrity-enveloped DATA frames (per-(src, dst) sequence number plus
 CRC-32), each answered by its destination rank.  Failed deliveries (drop,
@@ -19,7 +19,7 @@ its timeout window to the cost ledger and emits a
 ``resilience.comm.retry`` trace event, and exhausting the budget raises a
 typed :class:`~repro.resilience.errors.CommFault` (``docs/robustness.md``).
 On the in-process backend the loopback transport *is* the simulated
-delivery.
+delivery; on the multiprocess backend the frames cross the real pipes.
 
 With worker-resident compute active (multiprocess backend,
 :mod:`repro.comm.compute`), the values an exchange delivers are exactly
@@ -151,7 +151,7 @@ class CommunicationPattern:
         ghost: list[np.ndarray],
     ) -> None:
         plan = faults.active()
-        if plan is None and not comm.backend.is_real:
+        if plan is None:
             # nothing can be lost or corrupted: a direct copy per transfer
             comm.comm_stats.messages += len(self.transfers)
             for t in self.transfers:
@@ -166,11 +166,12 @@ class CommunicationPattern:
     def _deliver(
         self,
         comm: Communicator,
-        plan,
+        plan: faults.FaultPlan,
         owned: list[np.ndarray],
         ghost: list[np.ndarray],
     ) -> None:
-        """Send every transfer through the reliable round (:func:`deliver`).
+        """Send every transfer of a fault-plan exchange through the reliable
+        round (:func:`deliver`).
 
         Each transfer is a DATA frame answered by its destination rank;
         the ghost slots are written from the validated *response* payload,
@@ -187,15 +188,14 @@ class CommunicationPattern:
             for t in self.transfers:
                 _check_bounds(t, owned, ghost)
                 payload = owned[t.src][t.send_local]
-                if plan is not None:
-                    action, value = plan.transfer_action(t.src, t.dst)
-                    if action != "ok":
-                        comm.comm_stats.messages += 1
-                        if action == "corrupt":
-                            ghost[t.dst][t.recv_ghost] = np.nan
-                        elif action == "scale":
-                            ghost[t.dst][t.recv_ghost] = payload * value
-                        continue  # "drop": the slots keep their stale values
+                action, value = plan.transfer_action(t.src, t.dst)
+                if action != "ok":
+                    comm.comm_stats.messages += 1
+                    if action == "corrupt":
+                        ghost[t.dst][t.recv_ghost] = np.nan
+                    elif action == "scale":
+                        ghost[t.dst][t.recv_ghost] = payload * value
+                    continue  # "drop": the slots keep their stale values
                 sent.append(t)
                 yield Envelope(t.src, t.dst, t.dst, payload.tobytes())
 

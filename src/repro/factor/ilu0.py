@@ -93,9 +93,8 @@ def ilu0(
             if shift:
                 data[dpos] += shift
             norms = band.row_norms_inf(n, a.indptr, data)
-            _, ilu0_sweep = kernels.sweeps_for(tier)
             lu_data, floored = band.ilu0_factor(
-                n, a.indptr, a.indices, data, norms, sweep=ilu0_sweep
+                n, a.indptr, a.indices, data, norms
             )
 
     _check_breakdown("ilu0", floored, n, breakdown_frac, shift)

@@ -86,11 +86,9 @@ def ilut(
             u_upper = (u_strict + sp.diags(u_diag, format="csr")).tocsr()
         else:
             norms = band.row_norms2(n, a.indptr, a.data)
-            ilut_sweep, _ = kernels.sweeps_for(tier)
             (l_indptr, l_indices, l_data,
              u_indptr, u_indices, u_data, floored) = band.ilut_factor(
-                n, a.indptr, a.indices, a.data, drop_tol, fill, shift, norms,
-                sweep=ilut_sweep,
+                n, a.indptr, a.indices, a.data, drop_tol, fill, shift, norms
             )
             _check_breakdown("ilut", floored, n, breakdown_frac, shift)
             l_csr = sp.csr_matrix((l_data, l_indices, l_indptr), shape=a.shape)

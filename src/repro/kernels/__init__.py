@@ -2,38 +2,32 @@
 
 One tier policy covers both phases: the setup-phase elimination sweeps
 dispatched below and the apply-phase triangular sweeps/matvec dispatched
-by :mod:`repro.kernels.apply` (which consults the same forced/env state,
-so a single ``REPRO_KERNEL_TIER`` pins the whole solve).
+by :mod:`repro.kernels.apply` (which consults the same forced state, so a
+single :func:`forced_tier` pins the whole solve).
 
-Three tiers compute the incomplete factorizations:
+Two tiers compute the incomplete factorizations:
 
 * ``"reference"`` — the original dict/heap scalar kernels in
   :mod:`repro.factor.reference`.  Always available; the only tier that
   supports MILU's dropped-mass accumulation and fault-injection pivot
   hooks, so those cases are routed here unconditionally.
 * ``"numpy"`` — vectorized band-window sweeps (:mod:`repro.kernels.band`).
-* ``"numba"`` — the scalar specification kernels jit-compiled
-  (:mod:`repro.kernels.numba_tier`); bit-compatible with ``"numpy"``.
 
-Selection order under ``"auto"`` policy: numba if importable, else the
-NumPy band tier when it is economical for the matrix at hand (the dense
-band workspace is only worth it for moderate bandwidths), else reference.
-Override with :func:`set_tier`/:func:`forced_tier` or the
-``REPRO_KERNEL_TIER`` environment variable (``auto`` | ``reference`` |
-``numpy`` | ``numba``).
+Under ``"auto"`` policy the NumPy band tier is used when it is economical
+for the matrix at hand (the dense band workspace is only worth it for
+moderate bandwidths), else reference.  Override with
+:func:`set_tier`/:func:`forced_tier` (``auto`` | ``reference`` | ``numpy``).
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
-from . import apply, applyspec, band, numba_tier, rowspec
+from . import apply, applyspec, band, rowspec
 
 __all__ = [
     "band",
     "rowspec",
-    "numba_tier",
     "apply",
     "applyspec",
     "available_tiers",
@@ -42,11 +36,9 @@ __all__ = [
     "forced_tier",
     "band_economical",
     "resolve",
-    "sweeps_for",
 ]
 
-_TIERS = ("reference", "numpy", "numba")
-_ENV_VAR = "REPRO_KERNEL_TIER"
+_TIERS = ("reference", "numpy")
 
 # the band workspace is O(n * bandwidth): cap both the bandwidth (per-row
 # ufunc cost grows as bw^2) and the total workspace footprint
@@ -57,20 +49,13 @@ _forced: str | None = None
 
 
 def available_tiers() -> tuple[str, ...]:
-    """Tiers usable in this process (numba only when importable)."""
-    if numba_tier.available():
-        return _TIERS
-    return ("reference", "numpy")
+    """Tiers usable in this process."""
+    return _TIERS
 
 
 def get_tier() -> str | None:
     """The explicitly forced tier, or ``None`` under auto policy."""
-    if _forced is not None:
-        return _forced
-    env = os.environ.get(_ENV_VAR, "").strip().lower()
-    if env in _TIERS:
-        return env
-    return None
+    return _forced
 
 
 def set_tier(name: str | None) -> None:
@@ -83,8 +68,6 @@ def set_tier(name: str | None) -> None:
         raise ValueError(
             f"unknown kernel tier {name!r}; expected one of {_TIERS} or 'auto'"
         )
-    if name == "numba" and not numba_tier.available():
-        raise RuntimeError("kernel tier 'numba' requested but numba is not installed")
     _forced = name
 
 
@@ -117,22 +100,8 @@ def resolve(n: int, bw: int, *, require_reference: bool = False) -> str:
     """
     if require_reference:
         return "reference"
-    forced = get_tier()
-    if forced == "numba" and numba_tier.load() is None:
-        forced = "numpy"
-    if forced is not None:
-        return forced
+    if _forced is not None:
+        return _forced
     if not band_economical(n, bw):
         return "reference"
-    if numba_tier.available() and numba_tier.load() is not None:
-        return "numba"
     return "numpy"
-
-
-def sweeps_for(tier: str):
-    """Return ``(ilut_sweep, ilu0_sweep)`` for a fast tier."""
-    if tier == "numba":
-        pair = numba_tier.load()
-        if pair is not None:
-            return pair
-    return band.ilut_sweep, band.ilu0_sweep

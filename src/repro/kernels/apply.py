@@ -1,14 +1,11 @@
 """Tier dispatch for the apply-phase kernels (triangular sweeps, matvec).
 
 The apply hot path reuses the factor-kernel tier policy
-(:func:`repro.kernels.get_tier` / ``REPRO_KERNEL_TIER``) with the same
-three names and the same bit-compatibility contract:
+(:func:`repro.kernels.get_tier` / :func:`repro.kernels.forced_tier`) with
+the same two names and the same bit-compatibility contract:
 
 * ``"reference"`` — the interpreted scalar loops in
   :mod:`repro.kernels.applyspec`.
-* ``"numba"`` — the same loops jit-compiled (numba's default pipeline does
-  not contract multiply-add or reassociate, so the compiled sweeps are
-  bit-compatible with the spec by construction).
 * ``"numpy"`` — both unit sweeps of one preconditioner application
   executed by a single call into scipy's compiled SuperLU ``gstrs``
   routine.  Its column-oriented substitution performs, per unknown, the
@@ -38,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from . import applyspec, numba_tier
+from . import applyspec
 
 # SuperLU's index arrays are C ints; fall back rather than overflow
 _INTC_MAX = np.iinfo(np.intc).max
@@ -67,20 +64,13 @@ def superlu_available() -> bool:
 def resolve_tier() -> str:
     """Pick the apply tier for one application.
 
-    The forced/env factor-kernel tier applies to the apply phase too, so
-    one ``REPRO_KERNEL_TIER`` (or :func:`repro.kernels.forced_tier`)
-    setting pins the entire solve.  Under auto policy the numpy tier wins:
-    its compiled backends carry no per-process jit latency and match the
-    numba tier's throughput.
+    The forced factor-kernel tier applies to the apply phase too, so one
+    :func:`repro.kernels.forced_tier` pins the entire solve.  Under auto
+    policy the numpy tier wins.
     """
     from repro import kernels
 
-    forced = kernels.get_tier()
-    if forced == "numba" and numba_tier.load_apply() is None:
-        forced = "numpy"
-    if forced is not None:
-        return forced
-    return "numpy"
+    return kernels.get_tier() or "numpy"
 
 
 # -- SuperLU slot preparation -------------------------------------------------
@@ -155,18 +145,11 @@ def csr_matvec(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
 
     scipy's compiled CSR product performs each row's accumulation
     left-to-right into a scalar, exactly the spec's order, so the numpy
-    tier is the library call itself; the reference and numba tiers run the
-    spec loop (interpreted / jitted).
+    tier is the library call itself; the reference tier runs the
+    interpreted spec loop.
     """
-    tier = resolve_tier()
-    if tier == "numpy":
+    if resolve_tier() == "numpy":
         return a @ x
     xf = np.ascontiguousarray(x, dtype=np.float64)
     y = np.empty(a.shape[0], dtype=np.float64)
-    if tier == "numba":
-        kernels = numba_tier.load_apply()
-        if kernels is not None:
-            kernels[2](a.indptr, a.indices, a.data, xf, y)
-            return y
-        return a @ x
     return applyspec.csr_matvec(a.indptr, a.indices, a.data, xf, y)

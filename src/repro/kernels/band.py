@@ -4,20 +4,19 @@ Both incomplete factorizations are reformulated right-looking over a dense
 band workspace ``W[i, c - i + bw]`` (``bw`` = bandwidth of A).  Rows finalize
 in ascending order; each finalized row k applies ONE rank-1 update to the
 parallelogram of future rows ``k+1 .. k+bw``.  The elimination sweep is a
-pluggable callable so three implementations can share the exact same setup
+pluggable callable so two implementations can share the exact same setup
 and extraction code:
 
 * :func:`ilut_sweep` / :func:`ilu0_sweep` here — vectorized NumPy, a handful
   of small-array ufunc calls per row through stride-tricks views;
 * :mod:`repro.kernels.rowspec` — scalar row-by-row mirrors of the same
-  elementwise operation sequence (the readable specification);
-* :mod:`repro.kernels.numba_tier` — the rowspec functions jit-compiled.
+  elementwise operation sequence (the readable specification).
 
 Why the band reformulation is exact: incomplete-LU fill of a band matrix
 stays inside the band (L and U inherit A's bandwidth inductively), and the
 right-looking order applies the same ascending-k sequence of
 ``w -= lik * u`` operations to every element as the reference left-looking
-row sweep — so all three sweeps produce bit-identical factors, and match
+row sweep — so both sweeps produce bit-identical factors, and match
 the reference tier up to rare tie-breaking in the fill-cap selection.
 
 The kernels are deliberately hook-free: fault-injection pivot hooks and

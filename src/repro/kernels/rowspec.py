@@ -7,10 +7,7 @@ mask-by-multiplication dropping, the same sign-preserving pivot floor.
 They therefore produce *bit-identical* band workspaces, which the unit
 tests assert.
 
-They are written in the numba-compilable subset of NumPy (plain loops,
-``np.sort`` on small scratch arrays, no fancy indexing) and double as the
-source for the jitted tier in :mod:`repro.kernels.numba_tier`.  Keep any
-edit here semantically in lockstep with ``band.ilut_sweep`` /
+Keep any edit here semantically in lockstep with ``band.ilut_sweep`` /
 ``band.ilu0_sweep``.
 """
 

@@ -6,10 +6,10 @@ not be a Python per-row loop.  :class:`TriangularFactor` prepares a
 strictly triangular factor once and dispatches each solve through the
 apply-kernel tiers of :mod:`repro.kernels.apply` — a compiled SuperLU
 column sweep on the numpy tier (the interpreted specification loops when
-SuperLU is unavailable or fails its bitwise probe), the jitted scalar loops
-on the numba tier, and the interpreted specification loops on the reference
-tier.  All tiers produce bitwise-identical solutions (the
-contract is documented in docs/performance.md, "Apply phase").
+SuperLU is unavailable or fails its bitwise probe), and the interpreted
+specification loops on the reference tier.  Both tiers produce
+bitwise-identical solutions (the contract is documented in
+docs/performance.md, "Apply phase").
 
 Non-unit diagonals never enter the sweeps: the factor stores its strict
 triangle column-scaled by the inverse diagonal (``t̃_ij = t_ij / d_j``,
@@ -18,10 +18,10 @@ output elementwise by ``1/d`` — one shared operation, identical in every
 tier.
 
 Level scheduling (Saad, "Iterative Methods for Sparse Linear Systems",
-Ch. 12) groups rows into dependency levels; it feeds the performance
-model: the number of levels is the
-critical-path length of the triangular solve, exactly the quantity a
-parallel ILU apply is limited by.
+Ch. 12) groups rows into dependency levels.  No solve uses it: the number
+of levels is the critical-path length of the triangular solve, exactly the
+quantity a parallel ILU apply is limited by, and
+``benchmarks/bench_apply_micro.py`` reports it as ``num_levels``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import scipy.sparse as sp
 
 from repro import obs
 from repro.kernels import apply as apply_kernels
-from repro.kernels import applyspec, numba_tier
+from repro.kernels import applyspec
 from repro.utils.validation import ensure_csr
 
 
@@ -212,15 +212,7 @@ class TriangularFactor:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``T x = b`` where ``T = strict + diag(diag or 1)``."""
         x = np.array(b, dtype=np.float64, copy=True)
-        tier = apply_kernels.resolve_tier()
-        if tier == "numba":
-            kernels = numba_tier.load_apply()
-            s = self.scaled
-            if self.lower:
-                kernels[0](s.indptr, s.indices, s.data, x)
-            else:
-                kernels[1](s.indptr, s.indices, s.data, x)
-        elif tier == "reference":
+        if apply_kernels.resolve_tier() == "reference":
             x = self._sweep_reference(x)
         else:
             x = self._sweep_numpy(x)

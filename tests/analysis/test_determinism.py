@@ -12,9 +12,9 @@ from repro.analysis.determinism import (
     DeterminismReport,
     _digest,
     _setup_workers,
-    available_tiers,
     check_determinism,
 )
+from repro import kernels
 from repro.cases import CASE_BUILDERS
 from repro.factor import cache as factor_cache
 
@@ -101,5 +101,5 @@ class TestReportAggregation:
 
 class TestAvailableTiers:
     def test_reference_and_numpy_always_present(self):
-        tiers = available_tiers()
+        tiers = kernels.available_tiers()
         assert tiers[:2] == ("reference", "numpy")

@@ -49,10 +49,45 @@ def spied_comm(monkeypatch):
 
 
 class TestOneWavePerAttempt:
-    def test_clean_exchange_is_one_request_many(self, spied_comm):
+    def test_fault_free_exchange_sends_no_frames(self, spied_comm):
         comm, calls = spied_comm
         owned, ghost = _buffers()
         _pattern().exchange(comm, owned, ghost)
+        # the values are made and read on the driver: a direct copy, no wire
+        assert calls["request_many"] == []
+        assert calls["request"] == 0
+        ref_owned, ref_ghost = _buffers()
+        _pattern().exchange(Communicator(3, backend="inprocess"), ref_owned, ref_ghost)
+        for got, want in zip(ghost, ref_ghost):
+            assert np.array_equal(got, want)
+        assert ghost[1].tolist() == [3.0, 5.0, 6.0] and ghost[0][1] == 10.0
+
+    def test_fault_free_schur1_solve_sends_no_data_frames(self, monkeypatch):
+        from repro.cases import poisson2d_case
+        from repro.core.driver import solve_case
+
+        kinds = []
+        many = MultiprocessBackend.request_many
+
+        def recording(self, messages, timeout):
+            kinds.extend(framing.peek_header(raw)[0] for _, raw in messages)
+            return many(self, messages, timeout)
+
+        monkeypatch.setattr(MultiprocessBackend, "request_many", recording)
+        out = solve_case(poisson2d_case(12), precond="schur1", nparts=3,
+                         backend="multiprocess")
+        assert out.status == "converged"
+        # worker rounds still cross the wire; ghost exchanges never do
+        assert framing.CMD in kinds
+        assert framing.DATA not in kinds
+
+    def test_fault_plan_exchange_is_one_request_many(self, spied_comm):
+        comm, calls = spied_comm
+        owned, ghost = _buffers()
+        # an active plan that never fires still routes through the wire
+        plan = faults.FaultPlan(faults.FaultSpec("straggler", count=0))
+        with faults.inject(plan):
+            _pattern().exchange(comm, owned, ghost)
         # rank 1 answers two transfers of the same exchange
         assert calls["request_many"] == [[1, 0, 1]]
         assert calls["request"] == 0

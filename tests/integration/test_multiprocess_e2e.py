@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from repro import faults, obs
-from repro.cases import poisson2d_case
+from repro.cases import heat3d_case, poisson2d_case
 from repro.core.driver import solve_case
+from repro.core.transient import TransientHeatSolver
 from repro.resilience import ResilientSolver
 from repro.resilience.errors import RankDeadError
 
@@ -103,6 +104,29 @@ class TestKillAndRecover:
         assert _events(tracer, "comm.backend.heartbeat_miss")
         fenced = _events(tracer, "comm.backend.fenced")
         assert fenced and fenced[0]["attrs"]["rank"] == 1
+
+
+    def test_kill_between_steps_without_a_fault_plan(self):
+        """Worker rounds alone notice a dead rank: with no fault plan a
+        fault-free exchange never touches the wire, so the SIGKILL between
+        two steps must surface through the next step's worker rounds."""
+        case = heat3d_case(n=9)
+        ths = TransientHeatSolver(
+            case.mesh, 0.01, case.mesh.boundary_set("right"),
+            precond="schur1", nparts=3, backend="multiprocess",
+        )
+        try:
+            u = ths.advance(case.x0, steps=1)
+            assert faults.active() is None
+            ths.comm.backend.kill_rank(1)
+            with obs.tracing() as tracer:
+                ths.advance(u, steps=1)
+            assert ths.nparts == 2 and ths.step == 2
+            assert [rec.status for rec in ths.history] == ["converged"] * 2
+            dead = _events(tracer, "resilience.comm.rank_dead")
+            assert dead and {e["attrs"]["rank"] for e in dead} == {1}
+        finally:
+            ths.close()
 
 
 class TestWorkerResidentState:

@@ -15,10 +15,8 @@ from repro import kernels
 from repro.factor.ilu0 import ilu0
 from repro.factor.ilut import ilut
 from repro.kernels import apply as apply_kernels
-from repro.kernels import applyspec, numba_tier
+from repro.kernels import applyspec
 from repro.sparse.triangular import TriangularFactor
-
-NUMBA = numba_tier.available() and numba_tier.load_apply() is not None
 
 
 def _test_matrix(n=300, seed=7):
@@ -37,9 +35,6 @@ def _tier_solutions(fac, b):
         out["reference"] = fac.solve(b)
     with kernels.forced_tier("numpy"):
         out["numpy"] = fac.solve(b)
-    if NUMBA:
-        with kernels.forced_tier("numba"):
-            out["numba"] = fac.solve(b)
     return out
 
 
@@ -102,9 +97,6 @@ class TestMatvecTiers:
             ref = apply_kernels.csr_matvec(a, x)
         with kernels.forced_tier("numpy"):
             assert np.array_equal(apply_kernels.csr_matvec(a, x), ref)
-        if NUMBA:
-            with kernels.forced_tier("numba"):
-                assert np.array_equal(apply_kernels.csr_matvec(a, x), ref)
 
     def test_matvec_matches_scipy(self, rng):
         a = _test_matrix(seed=19)
@@ -203,22 +195,3 @@ class TestLevelSchedulerEdgeCases:
         ref = sols.pop("reference")
         for name, x in sols.items():
             assert np.array_equal(x, ref), name
-
-
-@pytest.mark.skipif(not NUMBA, reason="numba not installed")
-class TestNumbaApplyTier:
-    def test_jitted_kernels_match_spec(self, rng):
-        fwd, bwd, mv = numba_tier.load_apply()
-        l = sp.tril(sp.random(80, 80, 0.1, random_state=4), -1, format="csr")
-        l.sort_indices()
-        b = rng.standard_normal(80)
-        x_jit, x_ref = b.copy(), b.copy()
-        fwd(l.indptr, l.indices, l.data, x_jit)
-        applyspec.forward_unit(l.indptr, l.indices, l.data, x_ref)
-        assert np.array_equal(x_jit, x_ref)
-        u = sp.csr_matrix(l.T)
-        u.sort_indices()
-        x_jit, x_ref = b.copy(), b.copy()
-        bwd(u.indptr, u.indices, u.data, x_jit)
-        applyspec.backward_unit(u.indptr, u.indices, u.data, x_ref)
-        assert np.array_equal(x_jit, x_ref)

@@ -1,8 +1,8 @@
 """Kernel-tier dispatch policy and cross-tier factor equality.
 
-The bit-compatibility contract (ISSUE 4, in the spirit of Dong & Cooperman):
-the NumPy band tier, the scalar rowspec sweeps, and the numba tier must all
-produce byte-identical factors, and must match the reference tier exactly
+The bit-compatibility contract (in the spirit of Dong & Cooperman): the
+NumPy band tier and the scalar rowspec sweeps must produce byte-identical
+factors, and must match the reference tier exactly
 whenever no |value| ties occur in the ILUT fill-cap selection (random data
 breaks all ties, so these matrices exercise the exact-match regime).
 """
@@ -16,7 +16,7 @@ from repro.factor import cache as factor_cache
 from repro.resilience.errors import FactorizationBreakdown
 from repro.factor.ilu0 import ilu0
 from repro.factor.ilut import ilut
-from repro.kernels import band, numba_tier, rowspec
+from repro.kernels import band, rowspec
 from tests.conftest import random_nonsymmetric_csr, random_spd_csr
 
 
@@ -145,35 +145,13 @@ class TestBandVsRowspec:
         assert fl_v == fl_s
 
 
-class TestNumbaTier:
-    def test_matches_numpy_exactly(self):
-        pytest.importorskip("numba")
-        a = random_nonsymmetric_csr(40, 0.15, 10)
-        with kernels.forced_tier("numpy"):
-            f_np = ilut(a, 1e-4, 8)
-            f0_np = ilu0(a)
-        with kernels.forced_tier("numba"):
-            f_nb = ilut(a, 1e-4, 8)
-            f0_nb = ilu0(a)
-        _assert_factors_equal(f_np, f_nb)
-        _assert_factors_equal(f0_np, f0_nb)
-
-    def test_numba_without_numba_rejected(self):
-        if numba_tier.available():
-            pytest.skip("numba present in this environment")
-        with pytest.raises(RuntimeError, match="numba is not installed"):
-            kernels.set_tier("numba")
-
-
 class TestDispatchPolicy:
     def test_require_reference_wins_over_forced(self):
         with kernels.forced_tier("numpy"):
             assert kernels.resolve(100, 5, require_reference=True) == "reference"
 
     def test_auto_uses_fast_tier_when_economical(self):
-        tier = kernels.resolve(100, 5)
-        assert tier in ("numpy", "numba")
-        assert tier == ("numba" if numba_tier.available() else "numpy")
+        assert kernels.resolve(100, 5) == "numpy"
 
     def test_economy_gate_bandwidth_cap(self):
         assert kernels.band_economical(1000, kernels.BAND_BW_CAP)
@@ -189,17 +167,6 @@ class TestDispatchPolicy:
         with kernels.forced_tier("numpy"):
             assert kernels.resolve(1000, 10**4) == "numpy"
 
-    def test_env_var_forces_tier(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_TIER", "numpy")
-        assert kernels.get_tier() == "numpy"
-        assert kernels.resolve(1000, 10**4) == "numpy"
-        monkeypatch.setenv("REPRO_KERNEL_TIER", "reference")
-        assert kernels.resolve(100, 5) == "reference"
-
-    def test_env_var_garbage_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_TIER", "turbo")
-        assert kernels.get_tier() is None
-
     def test_set_tier_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel tier"):
             kernels.set_tier("gpu")
@@ -211,6 +178,4 @@ class TestDispatchPolicy:
         assert kernels.get_tier() is None
 
     def test_available_tiers_shape(self):
-        tiers = kernels.available_tiers()
-        assert tiers[:2] == ("reference", "numpy")
-        assert ("numba" in tiers) == numba_tier.available()
+        assert kernels.available_tiers() == ("reference", "numpy")
