@@ -72,7 +72,6 @@ def test_apply_sweep_speedup():
                 "drop_tol": drop_tol,
                 "fill": fill,
                 "nnz": fac.nnz,
-                "num_levels": {"L": fac.L.num_levels, "U": fac.U.num_levels},
                 "apply_ms": timings,
                 "sweep_ms": sweep_ms,
                 "speedup": timings["reference"] / timings["numpy"],

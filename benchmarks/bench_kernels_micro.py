@@ -1,7 +1,7 @@
 """Micro-benchmarks of the hot kernels (real pytest-benchmark timing).
 
 The guides' rule: no optimization without measuring.  These time the kernels
-every preconditioner application is built from — level-scheduled triangular
+every preconditioner application is built from — tiered triangular
 solves, distributed matvec, ILU factorizations, ghost exchange — with
 multiple rounds so regressions in the vectorized implementations are visible.
 Unlike the table benches (single-shot, simulated-time outputs), these measure
@@ -177,8 +177,8 @@ def test_kernel_ilut_tier_speedup():
                 )
 
             f_ref, f_np = interleaved(ref_factor, band_factor)
-            # the full setup pipeline (factorization + level-scheduled
-            # triangular-solver construction, shared by both tiers)
+            # the full setup pipeline (factorization + triangular-solver
+            # construction, shared by both tiers)
             # apply timings run under the same forced tier as the factor
             # build: TriangularFactor.solve dispatches through the apply
             # tiers too, so timing outside the context would measure the

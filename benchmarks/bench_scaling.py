@@ -7,15 +7,15 @@ moving the per-rank hot path into the workers actually buys.
 
 Definition (documented in docs/performance.md, "Measured scaling"):
 
-- ``serial_wall(p)``: whole-solve wall clock with ``REPRO_WORKER_COMPUTE=0``
-  — the same p-subdomain algorithm with every flop executed in the driver
-  (the PR 7 behavior).  Same decomposition, same iteration count, bitwise
-  the same answer: the baseline is the *identical* computation, minus the
-  worker protocol.
-- ``overlapped_wall(p)``: whole-solve wall clock with worker compute on,
+- ``serial_wall(p)``: whole-solve wall clock on the in-process backend —
+  the same p-subdomain algorithm with every flop executed in the driver.
+  Same decomposition, same iteration count, bitwise the same answer: the
+  baseline is the *identical* computation, minus the rank processes and
+  the worker protocol.
+- ``overlapped_wall(p)``: whole-solve wall clock on the multiprocess backend,
   with each command round's driver-observed span replaced by its critical
-  path (slowest rank's worker-measured CPU seconds).  This container has a
-  single core, so rank processes are time-sliced: the raw wall serializes
+  path (slowest rank's worker-measured CPU seconds).  With fewer cores
+  than ranks the rank processes are time-sliced: the raw wall serializes
   what p cores would overlap, and the round events carry exactly the
   per-rank attribution needed to model the overlap honestly —
   ``process_time`` per rank, so preemption does not double-count.
@@ -47,15 +47,14 @@ def _worker_rounds(tracer):
     return evs
 
 
-def _solve(case, p, membership, worker_compute):
+def _solve(case, p, membership, backend):
     from repro import obs
     from repro.core.driver import solve_case
 
-    os.environ["REPRO_WORKER_COMPUTE"] = "1" if worker_compute else "0"
     with obs.tracing() as tracer:
         t0 = time.perf_counter()
         out = solve_case(
-            case, precond="block2", nparts=p, backend="multiprocess",
+            case, precond="block2", nparts=p, backend=backend,
             membership=membership,
         )
         wall = time.perf_counter() - t0
@@ -71,10 +70,7 @@ def test_worker_scaling_speedup():
 
     n = scaled_n(201)
     case = poisson2d_case(n)
-    saved = {
-        k: os.environ.get(k)
-        for k in ("REPRO_FACTOR_CACHE", "REPRO_WORKER_COMPUTE")
-    }
+    saved_env = os.environ.get("REPRO_FACTOR_CACHE")
     # both knobs: the env var is frozen into a FactorCache at construction,
     # and the driver's singleton may predate this test (pytest imports) —
     # configure() flips the live instance, the env covers worker processes
@@ -88,8 +84,8 @@ def test_worker_scaling_speedup():
             membership = case.membership(p)
             best = None
             for _ in range(REPEATS):
-                base, serial_wall, _ = _solve(case, p, membership, False)
-                out, wall, tracer = _solve(case, p, membership, True)
+                base, serial_wall, _ = _solve(case, p, membership, "inprocess")
+                out, wall, tracer = _solve(case, p, membership, "multiprocess")
                 # the speedup must not come from a semantics change
                 assert out.x_global.tobytes() == base.x_global.tobytes()
                 assert out.iterations == base.iterations
@@ -120,11 +116,10 @@ def test_worker_scaling_speedup():
                     best = row
             curve.append(best)
     finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+        if saved_env is None:
+            os.environ.pop("REPRO_FACTOR_CACHE", None)
+        else:
+            os.environ["REPRO_FACTOR_CACHE"] = saved_env
         configure(enabled=cache_was_enabled)
 
     (gate_row,) = [r for r in curve if r["ranks"] == GATE["at_ranks"]]
@@ -169,8 +164,8 @@ def test_worker_scaling_speedup():
         "cores_available": os.cpu_count(),
         "definition": (
             "speedup(p) = serial_wall(p) / overlapped_wall(p); serial_wall "
-            "runs the identical p-subdomain solve with worker compute "
-            "disabled (all flops in the driver); overlapped_wall replaces "
+            "runs the identical p-subdomain solve on the in-process backend "
+            "(all flops in the driver); overlapped_wall replaces "
             "each worker round's driver-observed span with the slowest "
             "rank's worker-measured CPU seconds (critical path), modelling "
             "p cores on a time-sliced host; partitioning precomputed, "

@@ -170,18 +170,13 @@ def _solve_digests(
     }
 
 
-def _subdomain_blocks(case: TestCase, nparts: int, seed: int) -> list[sp.csr_matrix]:
+def _distributed(case: TestCase, nparts: int, seed: int):
     from repro.distributed.matrix import distribute_matrix
     from repro.distributed.partition_map import PartitionMap
 
     membership = case.membership(nparts, seed=seed)
     pm = PartitionMap(case.coupling_graph, membership, num_ranks=nparts)
-    dmat = distribute_matrix(case.matrix, pm)
-    # square owned-diagonal block (local rows are owned x [owned; ghost])
-    return [
-        sp.csr_matrix(dmat.local[r][:, : dmat.local[r].shape[0]])
-        for r in range(nparts)
-    ]
+    return distribute_matrix(case.matrix, pm)
 
 
 def _apply_digest(blocks: Sequence[sp.csr_matrix], tier: str) -> str:
@@ -204,15 +199,35 @@ def _apply_digest(blocks: Sequence[sp.csr_matrix], tier: str) -> str:
     return h.hexdigest()
 
 
+def _factors_digest(facs) -> str:
+    """One digest over the L and U CSR triples of ``facs``, in order."""
+    h = hashlib.sha256()
+    for fac in facs:
+        for mat in (fac.l_strict, fac.u_upper):
+            h.update(_digest(mat.indptr, mat.indices, mat.data).encode())
+    return h.hexdigest()
+
+
 def _factor_digest(blocks: Sequence[sp.csr_matrix], tier: str) -> str:
     """One digest over every subdomain's ILU(0) and ILUT factors."""
-    h = hashlib.sha256()
     with kernels.forced_tier(tier):
-        for a in blocks:
-            for fac in (ilu0(a), ilut(a, drop_tol=1e-3, fill=10)):
-                for mat in (fac.l_strict, fac.u_upper):
-                    h.update(_digest(mat.indptr, mat.indices, mat.data).encode())
-    return h.hexdigest()
+        return _factors_digest(
+            fac for a in blocks
+            for fac in (ilu0(a), ilut(a, drop_tol=1e-3, fill=10))
+        )
+
+
+def _backend_factor_digest(dmat, backend: str) -> str:
+    """Digest of Block 2's subdomain factors as set up on ``backend``; on
+    the multiprocess backend they are rebuilt from FACTOR result bytes."""
+    from repro.comm.communicator import Communicator
+    from repro.precond.block_jacobi import block2
+
+    comm = Communicator(dmat.pm.num_ranks, backend=backend)
+    try:
+        return _factors_digest(block2(dmat, comm).factors)
+    finally:
+        comm.close()
 
 
 def check_determinism(
@@ -234,7 +249,9 @@ def check_determinism(
     (5) run the apply kernels (triangular sweeps, fused ILU solve, matvec)
     twice per tier, across tiers, and across the numpy-tier backends;
     (6) solve under every execution backend (inprocess vs multiprocess)
-    and compare — real pipe transport must not change a bit.
+    and set Block 2 up on each, and compare — neither real pipe transport
+    nor worker-side elimination may change a bit of the solve or of the
+    subdomain factors.
 
     ``checks`` selects a subset of :data:`CHECK_KINDS` (default: all).
     """
@@ -289,27 +306,18 @@ def check_determinism(
                 ))
 
             if "backend" in selected:
-                from repro.comm.backends import BACKEND_ENV, BACKEND_NAMES
+                from repro.comm.backends import BACKEND_NAMES
 
-                blocks = _subdomain_blocks(case, nparts, seed)
+                dmat = _distributed(case, nparts, seed)
                 backend_runs: dict[str, dict[str, object]] = {}
                 for bk in BACKEND_NAMES:
                     run = _solve_digests(
                         case, None, nparts, None, precond, backend=bk,
                         **solve_kw,
                     )
-                    # factor every subdomain with the backend globally
-                    # selected: the ILU factors must not depend on how
-                    # bytes move between ranks
-                    prev_bk = os.environ.get(BACKEND_ENV)
-                    os.environ[BACKEND_ENV] = bk
-                    try:
-                        run["factors"] = _factor_digest(blocks, tiers[0])
-                    finally:
-                        if prev_bk is None:
-                            os.environ.pop(BACKEND_ENV, None)
-                        else:
-                            os.environ[BACKEND_ENV] = prev_bk
+                    # the subdomain factors must not depend on which
+                    # process eliminated them or how their bytes moved
+                    run["factors"] = _backend_factor_digest(dmat, bk)
                     backend_runs[bk] = run
                 b0 = backend_runs[BACKEND_NAMES[0]]
                 report.checks.append(Check(
@@ -323,7 +331,8 @@ def check_determinism(
 
             if "factors" not in selected and "apply" not in selected:
                 continue
-            blocks = _subdomain_blocks(case, nparts, seed)
+            # the square owned-diagonal block of every subdomain
+            blocks = _distributed(case, nparts, seed).owned_square
             if "factors" in selected:
                 fdig = {
                     tier: [_factor_digest(blocks, tier) for _ in range(2)]

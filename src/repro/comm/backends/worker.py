@@ -139,23 +139,45 @@ def _handle_load_matrix(store: SubdomainStore, meta: dict, arrays: list) -> tupl
     return {"stored": True, "cached": False, "key": key}, []
 
 
-def _handle_load_factor(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict, list]:
+def factor_message(fac, perm=None) -> tuple[dict, list]:
+    """The wire form of an ILU factorization (and its RCM permutation).
+
+    ``meta`` carries the size and the health counters; ``arrays`` are the
+    CSR triples of L then U, followed by ``perm`` when there is one.  The
+    single encoder of the L/U layout: ``LOAD_FACTOR`` payloads and
+    ``FACTOR`` results both use it, and :func:`factor_from_message` is its
+    inverse, so driver and rank processes hold bit-identical factors.
+    """
+    meta = {"n": fac.n, "floored_pivots": fac.stats.floored_pivots,
+            "shift": fac.stats.shift, "has_perm": perm is not None}
+    arrays = [
+        fac.l_strict.indptr, fac.l_strict.indices, fac.l_strict.data,
+        fac.u_upper.indptr, fac.u_upper.indices, fac.u_upper.data,
+    ]
+    if perm is not None:
+        arrays.append(np.asarray(perm, dtype=np.int64))
+    return meta, arrays
+
+
+def factor_from_message(meta: dict, arrays: list):
+    """Rebuild ``(ILUFactorization, perm | None)`` from :func:`factor_message`
+    output; the arrays are copied off the payload buffer."""
     from repro.factor.base import FactorStats, ILUFactorization
 
+    n = int(meta["n"])
+    stats = FactorStats(n=n, floored_pivots=int(meta["floored_pivots"]),
+                        shift=float(meta["shift"]))
+    l_strict, u_upper = _csr_from(arrays[:3], n, n), _csr_from(arrays[3:6], n, n)
+    perm = np.array(arrays[6]) if meta["has_perm"] else None
+    return ILUFactorization(l_strict, u_upper, stats), perm
+
+
+def _handle_load_factor(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict, list]:
     key = meta["key"]
     if key in store.factors:
         store.cached += 1
         return {"stored": True, "cached": True, "key": key}, []
-    n = int(meta["n"])
-    l_strict = _csr_from(arrays[:3], n, n)
-    u_upper = _csr_from(arrays[3:6], n, n)
-    perm = np.array(arrays[6]) if meta.get("has_perm") else None
-    stats = FactorStats(
-        n=n,
-        floored_pivots=int(meta.get("floored_pivots", 0)),
-        shift=float(meta.get("shift", 0.0)),
-    )
-    store.factors[key] = (ILUFactorization(l_strict, u_upper, stats), perm)
+    store.factors[key] = factor_from_message(meta, arrays)
     store.loads += 1
     return {"stored": True, "cached": False, "key": key}, []
 
@@ -166,7 +188,8 @@ def _handle_factor(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dic
     Runs the exact driver-side factorization code on the exact driver-side
     bytes, so the factors (and their content digest) are bitwise identical
     to an in-process factorization — the ``backend`` determinism check
-    hashes them to prove it.
+    digests the factors Block 2 rebuilds from these result bytes against
+    an in-process setup to prove it.
     """
     from repro.factor.base import ILUFactorization
     from repro.factor.ilu0 import ilu0
@@ -194,16 +217,8 @@ def _handle_factor(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dic
         perm = np.array(arrays[0]) if meta.get("has_perm") else None
         store.factors[factor_key] = (fac, perm)
         store.loads += 1
-    out_meta = {
-        "key": factor_key,
-        "n": fac.n,
-        "floored_pivots": fac.stats.floored_pivots,
-        "shift": fac.stats.shift,
-    }
-    out = [
-        fac.l_strict.indptr, fac.l_strict.indices, fac.l_strict.data,
-        fac.u_upper.indptr, fac.u_upper.indices, fac.u_upper.data,
-    ]
+    out_meta, out = factor_message(fac)
+    out_meta["key"] = factor_key
     return out_meta, out
 
 
@@ -248,7 +263,7 @@ def _handle_apply(store: SubdomainStore, meta: dict, arrays: list) -> tuple[dict
 
     Identical code path to the driver's
     :meth:`~repro.factor.base.ILUFactorization.solve` (fused SuperLU fast
-    path with probe, level-scheduled fallback), including the RCM
+    path with probe, scalar-spec fallback), including the RCM
     permutation round-trip when the factor was built in permuted order.
     The result is parked in the z-register for a following MATVEC_GHOSTS.
     """

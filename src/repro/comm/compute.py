@@ -27,15 +27,10 @@ rounds are delivery opportunities like ghost exchanges) and emits one
 ``comm.worker.round`` event carrying each rank's *worker-measured* wall and
 CPU seconds — the raw material for ``repro trace``'s per-rank attribution
 and the scaling bench's critical-path model (``docs/performance.md``).
-
-Env gate: ``REPRO_WORKER_COMPUTE=0`` disables the session entirely (the
-arithmetic stays on the driver, and a fault-free solve sends the rank
-processes no frames at all).
 """
 
 from __future__ import annotations
 
-import os
 from time import perf_counter
 
 import numpy as np
@@ -57,9 +52,6 @@ from repro.comm.communicator import Communicator
 from repro.comm.delivery import Envelope, deliver
 from repro.resilience import errors as _errors
 
-#: disable worker-resident compute (fall back to driver compute)
-COMPUTE_ENV = "REPRO_WORKER_COMPUTE"
-
 #: per-attempt timeout floors (seconds): retry policies are tuned for
 #: microsecond echo traffic; a command that *computes* needs a window
 #: matched to the work, or slow-but-healthy ranks would be fenced
@@ -72,22 +64,16 @@ class WorkerComputeError(RuntimeError):
     map onto the typed resilience taxonomy."""
 
 
-def compute_enabled() -> bool:
-    return os.environ.get(COMPUTE_ENV, "1").strip().lower() not in (
-        "0", "off", "false", "no",
-    )
-
-
 def session(comm: Communicator) -> "WorkerCompute | None":
     """The communicator's worker-compute session, or None (driver compute).
 
-    Sessions exist only on real backends with the gate open; they are
-    cached on the communicator, so every caller in a solve shares one
-    shipped-key set.  A communicator born from ``absorb_rank`` recovery is
-    a *new* object with a *new* backend — its session starts empty and
-    re-ships state on first use, which is the whole recovery story.
+    A session exists if and only if the backend is real; it is cached on
+    the communicator, so every caller in a solve shares one shipped-key
+    set.  A communicator born from ``absorb_rank`` recovery is a *new*
+    object with a *new* backend — its session starts empty and re-ships
+    state on first use, which is the whole recovery story.
     """
-    if not comm.backend.is_real or not compute_enabled():
+    if not comm.backend.is_real:
         return None
     wc = getattr(comm, "_worker_compute", None)
     if wc is None or wc.backend is not comm.backend:
@@ -212,9 +198,10 @@ class WorkerCompute:
         ``payload_meta[rank]`` is the FACTOR meta (alg/params/matrix_key/
         factor_key); ``perms[rank]`` (optional per rank) is the RCM
         permutation the worker must keep with the factor for APPLY.
-        Returns the raw per-rank ``(meta, arrays)`` — L then U in CSR
-        triples — for the caller to rebuild driver-side factorizations
-        that are bitwise identical to a local factorization.
+        Returns the raw per-rank ``(meta, arrays)`` in the
+        :func:`~repro.comm.backends.worker.factor_message` layout, for the
+        caller to rebuild driver-side factorizations that are bitwise
+        identical to a local factorization.
         """
         payloads = {}
         for rank in sorted(payload_meta):

@@ -193,9 +193,8 @@ def solve_case(
         Execution backend for the communicator — ``"inprocess"`` (default:
         simulated ranks) or ``"multiprocess"`` (ranks as supervised OS
         processes; the per-rank hot path — matvecs, ILU sweeps —
-        executes inside the rank processes unless
-        ``REPRO_WORKER_COMPUTE=0``, and ghost exchanges travel over real
-        pipes under a fault plan; see
+        executes inside the rank processes, and ghost exchanges travel
+        over real pipes under a fault plan; see
         ``docs/algorithms.md`` §8).  ``None`` consults the
         ``REPRO_COMM_BACKEND`` environment variable.  The numerical
         results are bitwise identical across backends

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import faults, obs
+from repro.cases.base import TestCase
 from repro.comm.communicator import Communicator
 from repro.core.driver import make_preconditioner
 from repro.distributed.matrix import distribute_matrix
@@ -90,10 +91,6 @@ class TransientHeatSolver:
         checkpoint_every: int = 1,
         backend: str | None = None,
     ) -> None:
-        from repro.graph.adjacency import graph_from_elements
-        from repro.graph.geometric import box_partition_2d, box_partition_3d
-        from repro.graph.partitioner import partition_graph
-
         self.op = ImplicitEulerOperator(mesh, dt=dt, conductivity=conductivity)
         self.dirichlet = np.asarray(dirichlet_nodes, dtype=np.int64)
         self.matrix, _ = apply_dirichlet(
@@ -110,34 +107,18 @@ class TransientHeatSolver:
 
             self.checkpoints = CheckpointManager(checkpoint_dir, prefix="transient")
 
-        self.graph = graph_from_elements(mesh.num_points, mesh.elements)
-        if scheme == "general":
-            membership = partition_graph(self.graph, nparts, seed=seed)
-        elif scheme == "box":
-            shape = mesh.structured_shape
-            if shape is None:
-                raise ValueError("box partitioning requires a structured grid")
-            membership = (
-                box_partition_2d(*shape, nparts)
-                if len(shape) == 2
-                else box_partition_3d(*shape, nparts)
-            )
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
+        zeros = np.zeros(mesh.num_points)
+        self.case = TestCase(
+            key="transient", title="implicit Euler heat step", mesh=mesh,
+            matrix=self.matrix, rhs=zeros, raw_matrix=self.op.matrix, x0=zeros,
+        )
+        self.graph = self.case.node_graph
+        membership = self.case.membership(nparts, seed=seed, scheme=scheme)
         self.precond_name = precond
         self.precond_params = precond_params
         self.nparts = nparts
         self.backend_name = backend
         self.comm: Communicator | None = None
-
-        # a minimal stand-in TestCase is not needed: only the Schwarz
-        # preconditioners read case.mesh/case.matrix, and they are valid here
-        class _CaseShim:
-            pass
-
-        self._shim = _CaseShim()
-        self._shim.mesh = mesh
-        self._shim.matrix = self.matrix
         self._build(np.asarray(membership, dtype=np.int64))
         self.setup_ledger = self.comm.reset_ledger()
         self.history: list[StepRecord] = []
@@ -168,7 +149,7 @@ class TransientHeatSolver:
         if prev is not None:
             prev.close()
         self.precond = make_preconditioner(
-            self.precond_name, self.dmat, self.comm, self._shim, self.precond_params
+            self.precond_name, self.dmat, self.comm, self.case, self.precond_params
         )
         self._ops = DistributedOps(self.comm, self.pm.layout)
 

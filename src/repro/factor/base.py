@@ -40,7 +40,7 @@ class ILUFactorization:
 
     ``l_strict`` holds the strictly lower triangle of L (unit diagonal
     implicit); ``u_upper`` holds U including its diagonal.  Solves use the
-    level-scheduled vectorized kernels of :mod:`repro.sparse.triangular`.
+    tiered sweep kernels of :mod:`repro.sparse.triangular`.
     ``stats`` carries the producing algorithm's health counters (pivot
     floors, diagonal shift); factorizations built directly from L/U parts
     get zeroed stats.

@@ -21,10 +21,11 @@ import scipy.sparse as sp
 
 from repro import faults, obs
 from repro.comm import compute as worker_compute
+from repro.comm.backends.worker import factor_from_message, factor_message
 from repro.comm.communicator import Communicator
 from repro.distributed.matrix import DistributedMatrix
 from repro.factor import cache as factor_cache
-from repro.factor.base import FactorStats, ILUFactorization
+from repro.factor.base import ILUFactorization
 from repro.factor.ilu0 import _check_breakdown, ilu0
 from repro.factor.ilut import ilut
 from repro.krylov.fgmres import fgmres
@@ -124,20 +125,20 @@ class BlockPreconditioner(ParallelPreconditioner):
             """Factor every subdomain inside its own rank process.
 
             One LOAD round ships the (permuted) subdomain matrices that are
-            not already resident, one FACTOR round runs all eliminations
-            concurrently in the rank processes (real parallelism — no GIL),
-            and driver-cached factors skip both: they travel as a
-            LOAD_FACTOR instead of being re-eliminated, the PR 4 cache
-            identity doing the dedup.  The returned factors are rebuilt
-            from the wire bytes and are bitwise identical to a driver-side
-            factorization (same tier, same code, same input bytes).
+            not already resident and one FACTOR round runs all eliminations
+            concurrently in the rank processes (real parallelism — no GIL).
+            Driver-cached factors skip both: the factor-cache content key
+            does the dedup, and :meth:`_ensure_worker_factors` ships them as
+            one LOAD_FACTOR round once setup is done.  The returned factors are
+            rebuilt from the wire bytes and are bitwise identical to a
+            driver-side factorization (same tier, same code, same input
+            bytes).
             """
             cache = factor_cache.get_cache()
             results: dict[int, tuple] = {}
             perms: dict[int, np.ndarray | None] = {}
             keys: dict[int, str] = {}
             load_mat: dict[int, tuple[str, dict, list]] = {}
-            load_fac: dict[int, tuple[str, dict, list]] = {}
             factor_meta: dict[int, dict] = {}
             for r in range(comm.size):
                 perm, a_perm = _permute_rank(r)
@@ -151,20 +152,6 @@ class BlockPreconditioner(ParallelPreconditioner):
                         breakdown_frac, shift,
                     )
                     results[r] = (perm, cached, fkey)
-                    meta = {
-                        "key": fkey, "n": cached.n,
-                        "floored_pivots": cached.stats.floored_pivots,
-                        "shift": cached.stats.shift,
-                        "has_perm": perm is not None,
-                    }
-                    arrays = [
-                        cached.l_strict.indptr, cached.l_strict.indices,
-                        cached.l_strict.data, cached.u_upper.indptr,
-                        cached.u_upper.indices, cached.u_upper.data,
-                    ]
-                    if perm is not None:
-                        arrays.append(np.asarray(perm, dtype=np.int64))
-                    load_fac[r] = (fkey, meta, arrays)
                     continue
                 n_r = int(a_perm.shape[0])
                 mkey = factor_cache.FactorCache.key(
@@ -193,26 +180,10 @@ class BlockPreconditioner(ParallelPreconditioner):
                     {r: perms[r] for r in factor_meta if perms[r] is not None},
                 )
                 for r in sorted(out):
-                    meta, arrays = out[r]
-                    n_r = int(meta["n"])
-                    l_strict = sp.csr_matrix(
-                        (np.array(arrays[2]), np.array(arrays[1]),
-                         np.array(arrays[0])), shape=(n_r, n_r),
-                    )
-                    u_upper = sp.csr_matrix(
-                        (np.array(arrays[5]), np.array(arrays[4]),
-                         np.array(arrays[3])), shape=(n_r, n_r),
-                    )
-                    fac = ILUFactorization(l_strict, u_upper, stats=FactorStats(
-                        n=n_r,
-                        floored_pivots=int(meta["floored_pivots"]),
-                        shift=float(meta["shift"]),
-                    ))
+                    fac, _ = factor_from_message(*out[r])
                     if cache.enabled:
                         cache.put(keys[r], fac)
                     results[r] = (perms[r], fac, keys[r])
-            if load_fac:
-                wc.ensure_factors(load_fac)
             return [results[r] for r in range(comm.size)]
 
         # worker-resident setup on real backends: eliminations run inside
@@ -230,10 +201,12 @@ class BlockPreconditioner(ParallelPreconditioner):
                 # one independent factorization per simulated rank: fan out
                 # on a thread pool; the span records the overlapped cost
                 results = parallel_map(_setup_rank, range(comm.size), workers)
+            self.factors = [fac for _, fac, _ in results]
+            self._perms = [perm for perm, _, _ in results]
+            self._ship_keys = {r: key for r, (_, _, key) in enumerate(results)}
+            if wc is not None:
+                self._ensure_worker_factors(wc)
 
-        self.factors = [fac for _, fac, _ in results]
-        self._perms = [perm for perm, _, _ in results]
-        self._ship_keys = {r: key for r, (_, _, key) in enumerate(results)}
         setup = np.zeros(comm.size)
         for r, fac in enumerate(self.factors):
             if fac.stats.floored_pivots:
@@ -259,19 +232,8 @@ class BlockPreconditioner(ParallelPreconditioner):
             key = self._ship_keys[r]
             if wc.is_shipped(r, key):
                 continue
-            fac, perm = self.factors[r], self._perms[r]
-            meta = {
-                "key": key, "n": fac.n,
-                "floored_pivots": fac.stats.floored_pivots,
-                "shift": fac.stats.shift,
-                "has_perm": perm is not None,
-            }
-            arrays = [
-                fac.l_strict.indptr, fac.l_strict.indices, fac.l_strict.data,
-                fac.u_upper.indptr, fac.u_upper.indices, fac.u_upper.data,
-            ]
-            if perm is not None:
-                arrays.append(np.asarray(perm, dtype=np.int64))
+            meta, arrays = factor_message(self.factors[r], self._perms[r])
+            meta["key"] = key
             entries[r] = (key, meta, arrays)
         return wc.ensure_factors(entries) if entries else 0
 

@@ -16,17 +16,9 @@ triangle column-scaled by the inverse diagonal (``t̃_ij = t_ij / d_j``,
 algebraically ``T = (I + S D^{-1}) D``) and multiplies the unit-sweep
 output elementwise by ``1/d`` — one shared operation, identical in every
 tier.
-
-Level scheduling (Saad, "Iterative Methods for Sparse Linear Systems",
-Ch. 12) groups rows into dependency levels.  No solve uses it: the number
-of levels is the critical-path length of the triangular solve, exactly the
-quantity a parallel ILU apply is limited by, and
-``benchmarks/bench_apply_micro.py`` reports it as ``num_levels``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,59 +27,6 @@ from repro import obs
 from repro.kernels import apply as apply_kernels
 from repro.kernels import applyspec
 from repro.utils.validation import ensure_csr
-
-
-@dataclass(frozen=True)
-class LevelSchedule:
-    """Rows grouped by dependency level.
-
-    ``order`` lists row indices sorted by level; rows of level ``k`` occupy
-    ``order[level_ptr[k]:level_ptr[k+1]]``.
-    """
-
-    order: np.ndarray
-    level_ptr: np.ndarray
-
-    @property
-    def num_levels(self) -> int:
-        return len(self.level_ptr) - 1
-
-
-def build_levels(a: sp.csr_matrix, lower: bool = True) -> LevelSchedule:
-    """Compute the level schedule of a strictly triangular CSR matrix.
-
-    For a lower factor, row ``i`` depends on the rows named by its column
-    indices (all ``< i``); for an upper factor the dependencies are the columns
-    ``> i`` and the sweep runs bottom-up.
-    """
-    a = ensure_csr(a)
-    n = a.shape[0]
-    # The longest-path recurrence level[i] = max(level[deps]) + 1 is an
-    # inherently sequential scan (ILU factors of banded matrices produce
-    # near-chain dependency graphs, so level-parallel formulations
-    # degenerate to O(num_levels) tiny steps).  A plain-list scan keeps the
-    # whole O(nnz) walk at C speed inside ``max(map(...))`` — an order of
-    # magnitude faster than per-row NumPy fancy indexing.
-    ptr = a.indptr.tolist()
-    ind = a.indices.tolist()
-    lev_list = [0] * n
-    get = lev_list.__getitem__
-    rows = range(n) if lower else range(n - 1, -1, -1)
-    for i in rows:
-        lo, hi = ptr[i], ptr[i + 1]
-        if hi > lo:
-            lev_list[i] = 1 + max(map(get, ind[lo:hi]))
-    level = np.asarray(lev_list, dtype=np.int64)
-    nlev = int(level.max()) + 1 if n else 1
-    # counting sort of rows by level, preserving sweep order within a level
-    counts = np.bincount(level, minlength=nlev)
-    level_ptr = np.concatenate(([0], np.cumsum(counts)))
-    order = np.argsort(level, kind="stable").astype(np.int64)
-    if not lower:
-        # argsort is ascending in row index within each level; the upper sweep
-        # is index-order independent within a level, so no extra work needed.
-        pass
-    return LevelSchedule(order=order, level_ptr=level_ptr.astype(np.int64))
 
 
 class TriangularFactor:
@@ -102,9 +41,9 @@ class TriangularFactor:
     lower:
         Orientation of the triangle.
 
-    The level schedule and the per-backend solve state are built lazily —
-    on first access / first solve — so constructing factors (e.g. inside
-    the parallel setup phase or the factor cache) stays cheap.
+    The SuperLU solve state is built lazily — on first solve — so
+    constructing factors (e.g. inside the parallel setup phase or the
+    factor cache) stays cheap.
     """
 
     def __init__(
@@ -140,21 +79,10 @@ class TriangularFactor:
                 (strict.data * self.invd[strict.indices], strict.indices, strict.indptr),
                 shape=strict.shape,
             )
-        self._schedule: LevelSchedule | None = None
         self._superlu_slots = None
         self._superlu_ok: bool | None = None  # None = not yet probed
 
     # -- lazy prepared state -------------------------------------------------
-
-    @property
-    def schedule(self) -> LevelSchedule:
-        if self._schedule is None:
-            self._schedule = build_levels(self.strict, lower=self.lower)
-        return self._schedule
-
-    @property
-    def num_levels(self) -> int:
-        return self.schedule.num_levels
 
     @property
     def nnz(self) -> int:

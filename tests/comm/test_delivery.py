@@ -126,7 +126,6 @@ class TestOneWavePerAttempt:
             return real(comm_, kind, envelopes, floor=floor, op=op)
 
         monkeypatch.setattr(compute, "deliver", recording)
-        monkeypatch.delenv(compute.COMPUTE_ENV, raising=False)
         wc = compute.session(comm)
         a = sp.identity(2, format="csr")
         wc.ensure_matrices({

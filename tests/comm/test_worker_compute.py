@@ -10,6 +10,7 @@ import pytest
 
 from repro.comm import compute
 from repro.comm.backends import InProcessBackend, framing
+from repro.comm.backends.worker import factor_message
 from repro.comm.communicator import Communicator
 from repro.distributed.layout import Layout
 from repro.factor.ilu0 import ilu0
@@ -21,10 +22,8 @@ def _factor_entry(key: str, n: int):
     a = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
                  [-1, 0, 1], format="csr")
     fac = ilu0(a)
-    meta = {"key": key, "n": n, "shift": fac.stats.shift,
-            "floored_pivots": fac.stats.floored_pivots}
-    arrays = [fac.l_strict.indptr, fac.l_strict.indices, fac.l_strict.data,
-              fac.u_upper.indptr, fac.u_upper.indices, fac.u_upper.data]
+    meta, arrays = factor_message(fac)
+    meta["key"] = key
     return key, meta, arrays, fac
 
 
@@ -43,12 +42,7 @@ class TestSessionGating:
         finally:
             comm.close()
 
-    def test_env_gate_disables_worker_compute(self, mp_comm, monkeypatch):
-        monkeypatch.setenv(compute.COMPUTE_ENV, "0")
-        assert compute.session(mp_comm) is None
-
-    def test_session_is_cached_per_backend(self, mp_comm, monkeypatch):
-        monkeypatch.delenv(compute.COMPUTE_ENV, raising=False)
+    def test_session_is_cached_per_backend(self, mp_comm):
         wc = compute.session(mp_comm)
         assert wc is not None
         assert compute.session(mp_comm) is wc

@@ -30,6 +30,12 @@ def _load_matrix_payload(key: str, a: sp.csr_matrix) -> bytes:
     )
 
 
+def _load_factor_payload(key: str, fac, perm=None) -> bytes:
+    meta, arrays = worker.factor_message(fac, perm)
+    meta["key"] = key
+    return worker.pack_command(worker.OP_LOAD_FACTOR, meta, arrays)
+
+
 def _result(payload: bytes) -> tuple[dict, list]:
     _, meta, arrays = worker.unpack_command(payload)
     return meta, arrays
@@ -46,6 +52,24 @@ class TestPayloadCodec:
         assert meta == {"key": "abc", "n": 7}
         for got, want in zip(out, arrays):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("with_perm", [False, True])
+    def test_factor_message_round_trip(self, with_perm):
+        fac = ilut(_laplacian(9), 1e-3, 5, shift=0.25)
+        perm = np.arange(9)[::-1].copy() if with_perm else None
+        _, meta, arrays = worker.unpack_command(
+            _load_factor_payload("f", fac, perm)
+        )
+        got, got_perm = worker.factor_from_message(meta, arrays)
+        for a, b in ((got.l_strict, fac.l_strict), (got.u_upper, fac.u_upper)):
+            for x, y in ((a.indptr, b.indptr), (a.indices, b.indices),
+                         (a.data, b.data)):
+                assert x.tobytes() == y.tobytes()
+        assert got.stats == fac.stats
+        if with_perm:
+            assert got_perm.tobytes() == perm.astype(np.int64).tobytes()
+        else:
+            assert got_perm is None
 
     def test_meta_is_canonical_json(self):
         # sort_keys + compact separators: identical dicts encode identically,
@@ -148,14 +172,7 @@ class TestHandlerParity:
         store = worker.SubdomainStore()
         a = _laplacian(10)
         fac = ilu0(a)
-        load = worker.pack_command(
-            worker.OP_LOAD_FACTOR,
-            {"key": "f", "n": 10, "shift": fac.stats.shift,
-             "floored_pivots": fac.stats.floored_pivots},
-            [fac.l_strict.indptr, fac.l_strict.indices, fac.l_strict.data,
-             fac.u_upper.indptr, fac.u_upper.indices, fac.u_upper.data],
-        )
-        worker.execute(store, load)
+        worker.execute(store, _load_factor_payload("f", fac))
         r = np.linspace(-1.0, 1.0, 10)
         _, arrays = _result(worker.execute(
             store, worker.pack_command(worker.OP_APPLY, {"key": "f"}, [r])
@@ -169,15 +186,7 @@ class TestHandlerParity:
         perm = rng.permutation(n).astype(np.int64)
         a = _laplacian(n).tocsc()[perm][:, perm].tocsr()
         fac = ilu0(a)
-        load = worker.pack_command(
-            worker.OP_LOAD_FACTOR,
-            {"key": "f", "n": n, "has_perm": True, "shift": 0.0,
-             "floored_pivots": fac.stats.floored_pivots},
-            [fac.l_strict.indptr, fac.l_strict.indices, fac.l_strict.data,
-             fac.u_upper.indptr, fac.u_upper.indices, fac.u_upper.data,
-             perm],
-        )
-        worker.execute(store, load)
+        worker.execute(store, _load_factor_payload("f", fac, perm))
         r = np.linspace(0.5, 2.0, n)
         _, arrays = _result(worker.execute(
             store, worker.pack_command(worker.OP_APPLY, {"key": "f"}, [r])
@@ -191,12 +200,7 @@ class TestHandlerParity:
         store = worker.SubdomainStore()
         n = 8
         fac = ilu0(_laplacian(n))
-        worker.execute(store, worker.pack_command(
-            worker.OP_LOAD_FACTOR,
-            {"key": "f", "n": n, "shift": 0.0, "floored_pivots": 0},
-            [fac.l_strict.indptr, fac.l_strict.indices, fac.l_strict.data,
-             fac.u_upper.indptr, fac.u_upper.indices, fac.u_upper.data],
-        ))
+        worker.execute(store, _load_factor_payload("f", fac))
         r = np.ones(n)
         worker.execute(store, worker.pack_command(
             worker.OP_APPLY, {"key": "f"}, [r]

@@ -224,6 +224,48 @@ class TestWorkerResidentState:
         finally:
             comm.close()
 
+    def test_cache_hit_setup_ships_cached_factors_in_one_round(
+        self, partitioned_poisson
+    ):
+        """A setup whose factors all hit the driver cache eliminates
+        nothing: a fresh worker fleet receives them, RCM permutations
+        included, in one LOAD_FACTOR round before the first apply, and
+        that apply is bitwise equal to the in-process one."""
+        from repro.comm.communicator import Communicator
+        from repro.factor import cache as factor_cache
+        from repro.precond.block_jacobi import block2
+
+        pm, dmat, rhs, _ = partitioned_poisson
+        r = pm.to_distributed(rhs)
+        prior = factor_cache.get_cache().enabled
+        factor_cache.configure(enabled=True).clear()
+        try:
+            comm = Communicator(pm.num_ranks, backend="multiprocess")
+            try:
+                block2(dmat, comm, ordering="rcm")
+            finally:
+                comm.close()
+            comm = Communicator(pm.num_ranks, backend="multiprocess")
+            try:
+                with obs.tracing() as tracer:
+                    M = block2(dmat, comm, ordering="rcm")
+                    z = M.apply(r)
+            finally:
+                comm.close()
+            local = Communicator(pm.num_ranks)
+            try:
+                want = block2(dmat, local, ordering="rcm").apply(r)
+            finally:
+                local.close()
+        finally:
+            factor_cache.configure(enabled=prior)
+        assert any(p is not None for p in M._perms)
+        ops = [e["attrs"]["op"] for e in _events(tracer, "comm.worker.round")]
+        setup_ops = ops[: ops.index("apply")]
+        assert setup_ops == ["load-factor"]
+        assert "factor" not in ops
+        assert z.tobytes() == want.tobytes()
+
 
 class TestBackendDeterminismCheck:
     def test_check_backend_reports_identical(self, case):
@@ -234,3 +276,17 @@ class TestBackendDeterminismCheck:
         assert kinds == {"backend"}
         assert report.identical
         assert report.checks  # one per case
+
+    def test_backend_check_digests_worker_built_factors(self, case):
+        """Even for a Schur 1 solve (which never factors in the rank
+        processes) the backend check sets Block 2 up on the workers, so
+        the factors it digests come off a FACTOR round's wire bytes."""
+        from repro.analysis.determinism import check_determinism
+
+        with obs.tracing() as tracer:
+            report = check_determinism(
+                [case], nparts=2, checks=["backend"], precond="schur1"
+            )
+        assert report.identical
+        ops = {e["attrs"]["op"] for e in _events(tracer, "comm.worker.round")}
+        assert "factor" in ops

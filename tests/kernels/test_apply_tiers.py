@@ -147,13 +147,12 @@ class TestProbeVerification:
             assert np.array_equal(x, fac.solve(b))
 
 
-class TestLevelSchedulerEdgeCases:
-    """Empty-level / singleton-row suite for the level scheduler, with
-    every tier's sweep on those shapes."""
+class TestTriangularEdgeCases:
+    """Singleton, diagonal-only, empty-row and chain triangles, with every
+    tier's sweep on those shapes."""
 
     def test_singleton_matrix(self, rng):
         t = TriangularFactor(sp.csr_matrix((1, 1)), np.array([2.0]), lower=False)
-        assert t.num_levels == 1
         for tier in ("reference", "numpy"):
             with kernels.forced_tier(tier):
                 assert np.array_equal(t.solve(np.array([3.0])), np.array([1.5]))
@@ -161,7 +160,6 @@ class TestLevelSchedulerEdgeCases:
     def test_diagonal_only_factor_single_level(self, rng):
         n = 7
         t = TriangularFactor(sp.csr_matrix((n, n)), np.arange(1.0, n + 1.0), lower=False)
-        assert t.num_levels == 1
         b = rng.standard_normal(n)
         sols = _tier_solutions(t, b)
         ref = sols.pop("reference")
@@ -169,15 +167,14 @@ class TestLevelSchedulerEdgeCases:
             assert np.array_equal(x, ref), name
 
     def test_empty_strict_rows_inside_levels(self, rng):
-        # half the rows have no strict entries (level 0), half depend on
-        # them (level 1): exercises rows with no strict entries
+        # half the rows have no strict entries, half depend on one of
+        # them: exercises rows with no strict entries
         n = 100
         rows = np.arange(1, n, 2)
         l = sp.coo_matrix(
             (np.full(len(rows), 0.5), (rows, rows - 1)), shape=(n, n)
         ).tocsr()
         t = TriangularFactor(l, None, lower=True)
-        assert t.num_levels == 2
         b = rng.standard_normal(n)
         sols = _tier_solutions(t, b)
         ref = sols.pop("reference")
@@ -185,11 +182,10 @@ class TestLevelSchedulerEdgeCases:
             assert np.array_equal(x, ref), name
 
     def test_chain_every_level_singleton(self, rng):
-        # bidiagonal chain: n levels of one row each
+        # bidiagonal chain: every row depends on the previous one
         n = 60
         l = sp.diags([rng.random(n - 1) + 0.5], [-1], format="csr")
         t = TriangularFactor(sp.csr_matrix(l), None, lower=True)
-        assert t.num_levels == n
         b = rng.standard_normal(n)
         sols = _tier_solutions(t, b)
         ref = sols.pop("reference")
