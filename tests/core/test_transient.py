@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from repro.core.transient import TransientHeatSolver
+from repro.graph.adjacency import graph_from_elements
+from repro.graph.geometric import box_partition_2d
+from repro.graph.partitioner import partition_graph
 from repro.mesh.grid2d import structured_rectangle
 from repro.mesh.grid3d import structured_box
+from repro.mesh.unstructured import plate_with_hole
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +86,34 @@ class TestTransientHeatSolver:
         )
         u = ths.advance(np.ones(mesh.num_points), steps=1)
         assert np.all(np.isfinite(u))
+
+    def test_general_membership_is_graph_partition(self):
+        # the march partitions the element graph with the same multilevel
+        # partitioner and seed as a steady solve of the same mesh
+        mesh = structured_rectangle(11, 11)
+        ths = TransientHeatSolver(
+            mesh, dt=0.02, dirichlet_nodes=mesh.all_boundary_nodes(),
+            precond="block1", nparts=3, seed=5,
+        )
+        want = partition_graph(
+            graph_from_elements(mesh.num_points, mesh.elements), 3, seed=5
+        )
+        assert np.array_equal(ths.membership, want)
+
+    def test_box_membership_is_geometric_boxes(self):
+        mesh = structured_rectangle(9, 9)
+        ths = TransientHeatSolver(
+            mesh, dt=0.02, dirichlet_nodes=mesh.all_boundary_nodes(),
+            precond="block1", nparts=4, scheme="box",
+        )
+        assert np.array_equal(ths.membership, box_partition_2d(9, 9, 4))
+
+    def test_box_scheme_rejects_unstructured_mesh(self):
+        mesh = plate_with_hole(target_h=0.2)
+        with pytest.raises(ValueError, match="structured grid"):
+            TransientHeatSolver(
+                mesh, dt=0.02, dirichlet_nodes=np.array([0]), scheme="box",
+            )
 
     def test_unknown_scheme_raises(self):
         mesh = structured_rectangle(7, 7)
